@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (axiom or hypothesis failure),
-2 I/O or parse error.  Inputs are file paths, or compact constructor
-specs ("chain:4", "hsum:2,3,3", "prod:chain:2,chain:2", "diamond")
-recognized by their leading constructor name.
+2 I/O, parse or configuration error.  Inputs are file paths, or compact
+constructor specs ("chain:4", "hsum:2,3,3", "prod:chain:2,chain:2",
+"diamond") recognized by their leading constructor name.
 """
 
 import argparse
@@ -105,7 +105,15 @@ def cmd_lemmas(cfg):
 
 
 def cmd_enumerate(cfg):
-    cap = int(os.environ.get(ENV_MAX_SIZE, DEFAULT_MAX_SIZE))
+    raw = os.environ.get(ENV_MAX_SIZE)
+    try:
+        cap = DEFAULT_MAX_SIZE if raw is None else int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 2:
+        print(f"config error: {ENV_MAX_SIZE} must be an integer >= 2, got {raw!r}",
+              file=sys.stderr)
+        return EXIT_IO
     if cfg.out:
         rows = write_enumeration(
             cfg.out, cfg.max_size, max_size=cap, parallel=cfg.parallel

@@ -12,16 +12,6 @@ from functools import cached_property
 
 UNDEF = -1
 
-VALIDATION_KINDS = (
-    "NotCommutative",
-    "NotAssociative",
-    "OrthoMissing",
-    "OrthoNotUnique",
-    "ZeroOneLawViolated",
-    "BadZero",
-    "BadIndex",
-)
-
 
 class ValidationError(Exception):
     """An axiom violation, with the first offending index tuple as witness."""
@@ -174,8 +164,10 @@ def validate(table):
     zero-one law (ZeroOneLawViolated), existence and uniqueness of
     orthosupplements (OrthoMissing / OrthoNotUnique), and associativity in
     both directions including definedness transfer (NotAssociative).  The
-    first violation in lexicographic scan order is raised.  Cancellation
-    and positivity are consequences of the axioms and only asserted.
+    first violation in lexicographic scan order is raised.  Cancellation,
+    positivity and an involutive orthosupplement follow from the axioms;
+    they are re-checked last, and a breach raises AssertionError, which
+    marks a bug in the checks above.
     """
     _check_shape(table)
     n, one, s = table.size, table.one, table.sum
@@ -231,11 +223,14 @@ def validate(table):
             v = s[a][b]
             if v == UNDEF:
                 continue
-            assert v not in seen, f"cancellation broken at {(a, seen[v], b)}"
+            if v in seen:
+                raise AssertionError(f"cancellation broken at {(a, seen[v], b)}")
             seen[v] = b
-            assert v != 0 or (a == 0 and b == 0), f"positivity broken at {(a, b)}"
+            if v == 0 and (a, b) != (0, 0):
+                raise AssertionError(f"positivity broken at {(a, b)}")
     for x in range(n):
-        assert ortho[ortho[x]] == x, f"orthosupplement not involutive at {x}"
+        if ortho[ortho[x]] != x:
+            raise AssertionError(f"orthosupplement not involutive at {x}")
 
     atoms = tuple(
         x

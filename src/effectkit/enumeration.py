@@ -10,25 +10,28 @@ reachable, and associativity (with definedness transfer) is re-checked
 incrementally over the triples a newly decided cell can influence,
 forcing further cells where the triple determines them.
 
-Isomorph rejection: a completed table is emitted only if it is
-lexicographically minimal among relabelings of the interior elements
-(exactly one labeled table per class survives); emitted tables are then
-keyed by their full canonical form.  Running with the minimality filter
-off and deduplicating by canonical key must give the same output; tests
-compare both modes.
+Isomorph rejection (Read's orderly method): a table is emitted only if
+it is lexicographically minimal among relabelings of the interior
+elements, so exactly one labeled table per class survives.  Minimality
+is tested on every partial table the search reaches: if a relabeling
+makes its decided prefix (the cells before the first undecided one)
+smaller, no completion can be minimal and the subtree is cut.  On a
+complete table the same test is the full minimality test.  Emitted
+tables are then keyed by their canonical form.  Running with the filter
+off (no test at all) and deduplicating by canonical key must give the
+same output; tests compare both modes.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 
 from .core import UNDEF, EffectAlgebraTable, validate
 from .corpus import parse
 from .lemmas import PASS, has_trivial_sharps, is_homogeneous
 from .structure import canonical_form, verify_C2_C3
 
-DEFAULT_MAX_SIZE = 8
+DEFAULT_MAX_SIZE = 10
 UNASSIGNED = -2
 
 SURVEY_COLUMNS = (
@@ -61,28 +64,80 @@ class SurveyRow:
 
 
 def _smaller_relabeling_exists(S, n):
+    """True iff some relabeling that fixes 0 and the unit n-1 makes the
+    decided prefix of S lexicographically smaller.
+
+    Cells are compared in row-major order, and the comparison stops with
+    no verdict at the first cell that is undecided in S or in the relabeled
+    table, so a difference found before that holds for every completion
+    of S.  On a complete table this is the full minimality test.
+
+    Row 0, column 0 and column n-1 agree under every such relabeling, so
+    the comparison starts at cell (1, 1).  Relabeled row 1 is built column
+    by column, choosing the old element for each new index as it is
+    needed.  A cell whose value is not placed yet can be made smaller
+    (done), must equal the current cell (which places it), or can only be
+    larger (cut).  Once row 1 is equal the relabeling is complete and the
+    later rows are compared directly.
+    """
     one = n - 1
-    for tail in permutations(range(1, one)):
-        order = (0, *tail, one)
-        perm = [0] * n
-        for newi, old in enumerate(order):
-            perm[old] = newi
-        verdict = 0
-        for u in range(n):
-            base_new = u * n
+    order = [0] * n  # order[new] = old; 0 marks a new index not yet chosen
+    perm = [0] * n  # perm[old] = new; 0 marks an element not yet placed
+    order[one] = perm[one] = one
+
+    def later_rows_smaller():
+        for u in range(2, one):
             row_old = order[u] * n
-            for w in range(n):
+            base = u * n
+            for w in range(1, one):
+                cur = S[base + w]
                 v = S[row_old + order[w]]
+                if cur == UNASSIGNED or v == UNASSIGNED:
+                    return False
                 pv = v if v < 0 else perm[v]
-                cur = S[base_new + w]
                 if pv != cur:
-                    verdict = -1 if pv < cur else 1
-                    break
-            if verdict:
-                break
-        if verdict < 0:
+                    return pv < cur
+        return False
+
+    def row1_from(w):
+        if w == one:
+            return later_rows_smaller()
+        if S[n + w] == UNASSIGNED:
+            return False
+        if order[w]:
+            return cell(w)
+        for x in range(1, one):
+            if not perm[x]:
+                order[w], perm[x] = x, w
+                if cell(w):
+                    return True
+                order[w] = perm[x] = 0
+        return False
+
+    def cell(w):
+        v = S[order[1] * n + order[w]]
+        cur = S[n + w]
+        if v == UNASSIGNED:
+            return False
+        if v < 0 or perm[v]:
+            pv = v if v < 0 else perm[v]
+            if pv != cur:
+                return pv < cur
+            return row1_from(w + 1)
+        # v is not placed yet: it takes a free index, and all are above w
+        if cur < 0:
+            return False
+        if cur == one or any(not order[p] for p in range(w + 1, cur)):
             return True
-    return False
+        if order[cur]:
+            return False
+        order[cur], perm[v] = v, cur
+        if row1_from(w + 1):
+            return True
+        order[cur] = perm[v] = 0
+        return False
+
+    return row1_from(1)
 
 
 def _snapshot(S, n):
@@ -207,9 +262,12 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
     def dfs(idx):
         while idx < last and S[cells[idx]] != UNASSIGNED:
             idx += 1
+        # no completion of a prefix that some relabeling makes smaller is
+        # minimal; at the leaf this is the full minimality test
+        if leaf_filter and _smaller_relabeling_exists(S, n):
+            return
         if idx == last:
-            if not leaf_filter or not _smaller_relabeling_exists(S, n):
-                results.append(_snapshot(S, n))
+            results.append(_snapshot(S, n))
             return
         pos = cells[idx]
         i, j = divmod(pos, n)
@@ -259,21 +317,15 @@ def enumerate_all(n, max_size=None, parallel=1, leaf_filter=True):
         domain = (UNDEF, *range(2, n))  # choices for the first cell (1, 1)
         chunks = [domain[k::parallel] for k in range(parallel)]
         chunks = [c for c in chunks if c]
-        keys = set()
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             args = [(n, chunk, leaf_filter) for chunk in chunks]
-            for part in pool.map(_enumeration_worker, args):
-                keys.update(part)
-        return sorted(keys)
-    tables = _enumerate_tables(n, None, leaf_filter)
-    keys = {canonical_form(t) for t in tables}
-    if leaf_filter:
-        assert len(keys) == len(tables), "minimality filter emitted a duplicate"
+            parts = list(pool.map(_enumeration_worker, args))
+    else:
+        parts = [_enumeration_worker((n, None, leaf_filter))]
+    keys = set().union(*parts)
+    if leaf_filter and len(keys) != sum(map(len, parts)):
+        raise AssertionError("minimality filter emitted a duplicate")
     return sorted(keys)
-
-
-def algebras_of_size(n, **kwargs):
-    return [validate(parse(key)) for key in enumerate_all(n, **kwargs)]
 
 
 def survey_row(n, keys):

@@ -72,19 +72,23 @@ def relabel(table, perm):
 def canonical_form(x):
     """Lexicographically least serialization over all relabelings fixing 0.
 
-    Equal byte strings iff isomorphic.  For sizes up to 10 all indices are
-    single digits, so byte order of the serialization agrees with integer
-    order on (one, flattened sum) and the scan can compare plain tuples.
+    Equal byte strings iff isomorphic.  The serialization leads with the
+    unit's new index, and 1 is the least one (as bytes "1," also sorts
+    before "10,"), so the least serialization puts the unit at 1 and only
+    the (n-2)! relabelings of that shape are scanned.  For sizes up to 10
+    all indices are single digits, so byte order of the serialization
+    agrees with integer order on (one, flattened sum) and the scan can
+    compare plain tuples.
     """
     t = _table_of(x)
     n, s = t.size, t.sum
     if n > 10:
         return min(
-            serialize(relabel(t, _perm_of(order, n))) for order in _orders(n)
+            serialize(relabel(t, _perm_of(order, n))) for order in _orders(t)
         )
     best = None
     best_perm = None
-    for order in _orders(n):
+    for order in _orders(t):
         perm = _perm_of(order, n)
         flat = [perm[t.one]]
         for oi in order:
@@ -98,9 +102,10 @@ def canonical_form(x):
     return serialize(relabel(t, best_perm))
 
 
-def _orders(n):
-    for tail in permutations(range(1, n)):
-        yield (0,) + tail
+def _orders(t):
+    rest = [x for x in range(1, t.size) if x != t.one]
+    for tail in permutations(rest):
+        yield (0, t.one, *tail)
 
 
 def _perm_of(order, n):

@@ -32,11 +32,11 @@ def _trivially_sharp_independent(e):
     return {x for x in e.carrier if _sharp_directly(e, x)} == {0, e.one}
 
 
-def test_exhaustive_theorem_verification_sizes_2_to_7():
+def test_exhaustive_theorem_verification_sizes_2_to_8():
     t0 = time.time()
     checked = counterexamples = 0
     small_elapsed = None
-    for n in range(2, 8):
+    for n in range(2, 9):
         for key in enumerate_all(n):
             e = validate(ek.parse(key))
             if not (_trivially_sharp_independent(e) and is_homogeneous_alt(e)):
@@ -54,13 +54,13 @@ def test_exhaustive_theorem_verification_sizes_2_to_7():
             small_elapsed = time.time() - t0
     elapsed = time.time() - t0
     assert counterexamples == 0
-    assert checked == 1 + 1 + 2 + 3 + 5 + 7  # partition counts of 0..5
+    assert checked == 1 + 1 + 2 + 3 + 5 + 7 + 11  # partition counts of 0..6
     assert small_elapsed < 5.0
     assert elapsed < 300.0
     print(
         f"ACCEPTANCE exhaustive-theorem-verification: PASS "
         f"({checked} hypothesis-class algebras, 0 counterexamples, "
-        f"sizes<=5 in {small_elapsed:.2f}s, sizes<=7 in {elapsed:.2f}s)"
+        f"sizes<=5 in {small_elapsed:.2f}s, sizes<=8 in {elapsed:.2f}s)"
     )
 
 

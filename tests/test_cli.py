@@ -148,6 +148,16 @@ def test_enumerate_env_cap(capsys, monkeypatch):
     assert main(["enumerate", "--max-size", "4"]) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1", "-3", "8.5"])
+def test_enumerate_bad_env_cap(capsys, monkeypatch, value):
+    monkeypatch.setenv("EFFECTKIT_MAX_SIZE", value)
+    assert main(["enumerate", "--max-size", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: EFFECTKIT_MAX_SIZE")
+
+
 def test_console_entry_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "effectkit", "analyze", "chain:2"],

@@ -1,11 +1,19 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
 import effectkit as ek
 from effectkit.core import UNDEF, EffectAlgebraTable, ValidationError, validate
 from effectkit.enumeration import (
+    UNASSIGNED,
     SizeTooLarge,
+    _enumerate_tables,
+    _smaller_relabeling_exists,
     enumerate_all,
     find_counterexample,
     survey,
@@ -16,7 +24,7 @@ from effectkit.lemmas import has_trivial_sharps, is_homogeneous
 
 from conftest import chain_multisets, partitions
 
-GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14}
+GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
 
 
 def brute_force_classes(n):
@@ -78,6 +86,63 @@ def test_class_counts(n, count):
     assert len(enumerate_all(n)) == count
 
 
+def test_size_9_count_and_hypothesis_class():
+    keys = enumerate_all(9)
+    assert len(keys) == 60
+    row = survey_row(9, keys)
+    assert row.hypothesis_class == 15 == sum(1 for _ in partitions(7))
+    assert row.counterexamples == 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_emitted_tables_are_minimal_and_pairwise_non_isomorphic(n):
+    tables = _enumerate_tables(n)
+    for t in tables:
+        flat = [v for row in t.sum for v in row]
+        assert not _smaller_relabeling_exists(flat, n)
+    assert len({ek.canonical_form(t) for t in tables}) == len(tables)
+
+
+def _naive_smaller_prefix(S, n):
+    """Reference for the prefix test: every relabeling fixing 0 and the
+    unit, compared cell by cell up to the first undecided cell."""
+    one = n - 1
+    for tail in permutations(range(1, one)):
+        order = (0, *tail, one)
+        perm = {old: new for new, old in enumerate(order)}
+        for u, w in product(range(1, one), repeat=2):
+            cur, v = S[u * n + w], S[order[u] * n + order[w]]
+            if UNASSIGNED in (cur, v):
+                break
+            pv = v if v < 0 else perm[v]
+            if pv != cur:
+                if pv < cur:
+                    return True
+                break
+    return False
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_prefix_test_matches_naive_reference(n):
+    # partial tables: every labeled table with a suffix of its cells
+    # undecided, and with a random half of that suffix decided again
+    one = n - 1
+    cells = [(i, j) for i in range(1, one) for j in range(i, one)]
+    rng = random.Random(n)
+    cases = 0
+    for t in _enumerate_tables(n, leaf_filter=False):
+        full = [v for row in t.sum for v in row]
+        for cut in range(len(cells) + 1):
+            for keep in (set(), {c for c in cells[cut:] if rng.random() < 0.5}):
+                S = list(full)
+                for i, j in cells[cut:]:
+                    if (i, j) not in keep:
+                        S[i * n + j] = S[j * n + i] = UNASSIGNED
+                assert _smaller_relabeling_exists(S, n) == _naive_smaller_prefix(S, n)
+                cases += 1
+    assert cases > 0
+
+
 def test_size4_classes_are_the_named_three():
     keys = set(enumerate_all(4))
     named = {
@@ -118,8 +183,24 @@ def test_known_classes_are_found():
 
 
 def test_leaf_filter_differential():
-    for n in range(2, 6):
+    for n in range(2, 8):
         assert enumerate_all(n, leaf_filter=True) == enumerate_all(n, leaf_filter=False)
+
+
+def test_duplicate_guard_survives_optimize():
+    # under -O an assert would vanish; the guard must still fire when two
+    # emitted tables share a key (forced here by a constant key)
+    code = (
+        "import effectkit.enumeration as en\n"
+        "en.canonical_form = lambda t: b'same'\n"
+        "en.enumerate_all(4)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ek.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "minimality filter emitted a duplicate" in proc.stderr
 
 
 def test_parallel_matches_serial():
@@ -131,7 +212,7 @@ def test_parallel_matches_serial():
 
 def test_size_cap():
     with pytest.raises(SizeTooLarge):
-        enumerate_all(9)
+        enumerate_all(11)
     with pytest.raises(SizeTooLarge):
         enumerate_all(5, max_size=4)
     with pytest.raises(ValueError):
