@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .core import ValidationError, validate
 from .corpus import ParseError, SpecError, from_spec, is_spec_string, parse, serialize
@@ -31,16 +30,6 @@ EXIT_IO = 2
 ENV_MAX_SIZE = "EFFECTKIT_MAX_SIZE"
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    source: str | None = None
-    out: str | None = None
-    max_size: int = 6
-    parallel: int = 1
-    fmt: str = "text"
-
-
 def _load(source):
     if is_spec_string(source):
         return from_spec(source)
@@ -57,39 +46,39 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def cmd_validate(cfg):
-    _load(cfg.source)
+def cmd_validate(args):
+    _load(args.source)
     print("valid")
     return EXIT_OK
 
 
-def cmd_analyze(cfg):
-    report = analyze(_load(cfg.source))
+def cmd_analyze(args):
+    report = analyze(_load(args.source))
     doc = report.as_dict()
-    if cfg.fmt == "json":
-        _emit(json.dumps(doc, sort_keys=True) + "\n", cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
         keys = ("size", "one", "atoms", "sharp", "homogeneous", "lattice", "isotropy")
-        _emit("".join(f"{k}: {json.dumps(doc[k])}\n" for k in keys), cfg.out)
+        _emit("".join(f"{k}: {json.dumps(doc[k])}\n" for k in keys), args.out)
     return EXIT_OK
 
 
-def cmd_decompose(cfg):
-    dec = decompose(_load(cfg.source))
-    if cfg.fmt == "json":
+def cmd_decompose(args):
+    dec = decompose(_load(args.source))
+    if args.fmt == "json":
         doc = {
             "chains": list(dec.chain_lengths),
             "labeling": [[x, *dec.labeling[x]] for x in sorted(dec.labeling)],
         }
-        _emit(json.dumps(doc, sort_keys=True) + "\n", cfg.out)
+        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
-        _emit(dec.render() + "\n", cfg.out)
+        _emit(dec.render() + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_lemmas(cfg):
-    reports = lemma_suite(_load(cfg.source))
-    if cfg.fmt == "json":
+def cmd_lemmas(args):
+    reports = lemma_suite(_load(args.source))
+    if args.fmt == "json":
         doc = [
             {
                 "lemma": r.lemma_id,
@@ -98,13 +87,13 @@ def cmd_lemmas(cfg):
             }
             for r in reports
         ]
-        _emit(json.dumps(doc, sort_keys=True) + "\n", cfg.out)
+        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
-        _emit(render_reports(reports) + "\n", cfg.out)
+        _emit(render_reports(reports) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_enumerate(cfg):
+def cmd_enumerate(args):
     raw = os.environ.get(ENV_MAX_SIZE)
     try:
         cap = DEFAULT_MAX_SIZE if raw is None else int(raw)
@@ -114,13 +103,13 @@ def cmd_enumerate(cfg):
         print(f"config error: {ENV_MAX_SIZE} must be an integer >= 2, got {raw!r}",
               file=sys.stderr)
         return EXIT_IO
-    if cfg.out:
+    if args.out:
         rows = write_enumeration(
-            cfg.out, cfg.max_size, max_size=cap, parallel=cfg.parallel
+            args.out, args.max_size, max_size=cap, parallel=args.parallel
         )
     else:
-        rows = survey(cfg.max_size, max_size=cap, parallel=cfg.parallel)
-    if cfg.fmt == "json":
+        rows = survey(args.max_size, max_size=cap, parallel=args.parallel)
+    if args.fmt == "json":
         doc = [{c: getattr(r, c) for c in SURVEY_COLUMNS} for r in rows]
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     else:
@@ -130,19 +119,19 @@ def cmd_enumerate(cfg):
     return EXIT_OK
 
 
-def cmd_generate(cfg):
-    e = from_spec(cfg.source)
+def cmd_generate(args):
+    e = from_spec(args.source)
     data = serialize(e.table)
-    if cfg.out:
-        with open(cfg.out, "wb") as fh:
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.buffer.write(data)
     return EXIT_OK
 
 
-def cmd_hasse(cfg):
-    e = _load(cfg.source)
+def cmd_hasse(args):
+    e = _load(args.source)
     lines = ["digraph hasse {"]
     for x in e.carrier:
         label = "0" if x == 0 else "1" if x == e.one else f"e{x}"
@@ -150,7 +139,7 @@ def cmd_hasse(cfg):
     for x, y in e.hasse_covers():
         lines.append(f"  n{x} -> n{y};")
     lines.append("}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -192,17 +181,11 @@ def _parser():
 
 
 def main(argv=None):
-    ns = _parser().parse_args(argv)
-    cfg = CliConfig(
-        subcommand=ns.subcommand,
-        source=getattr(ns, "source", None),
-        out=ns.out,
-        max_size=getattr(ns, "max_size", 6),
-        parallel=max(1, getattr(ns, "parallel", 1)),
-        fmt=getattr(ns, "fmt", "text"),
-    )
+    args = _parser().parse_args(argv)
+    if args.subcommand == "enumerate":
+        args.parallel = max(1, args.parallel)
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _COMMANDS[args.subcommand](args)
     except (ParseError, SpecError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO

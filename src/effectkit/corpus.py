@@ -6,6 +6,7 @@ terminated.
 """
 
 import json
+import math
 
 from .core import UNDEF, CheckedEffectAlgebra, EffectAlgebraTable, validate
 
@@ -138,6 +139,9 @@ def parse(data):
 
 
 CONSTRUCTOR_NAMES = ("chain", "hsum", "prod", "diamond")
+# Largest algebra a spec may build, checked before anything is allocated:
+# validation is cubic in the size, and the lemma suite takes ~45 s at 256.
+MAX_SPEC_SIZE = 256
 
 
 def is_spec_string(text):
@@ -149,7 +153,8 @@ def from_spec(text):
     """Build a corpus algebra from a compact spec string.
 
     Grammar: "chain:N" | "hsum:L1,L2,..." | "prod:PART,PART" | "diamond",
-    where PART is "chain:N" or "diamond".
+    where PART is "chain:N" or "diamond".  A spec that would build more
+    than MAX_SPEC_SIZE elements raises SpecError.
     """
     name, _, rest = text.partition(":")
     if name == "diamond":
@@ -157,19 +162,32 @@ def from_spec(text):
             raise SpecError(f"diamond takes no arguments: {text!r}")
         return boolean_diamond()
     if name == "chain":
-        return chain(_spec_int(rest, text))
+        length = _spec_int(rest, text)
+        _check_spec_size(length + 1, text)
+        return chain(length)
     if name == "hsum":
         lengths = [_spec_int(p, text) for p in rest.split(",")]
+        _check_spec_size(2 + sum(l - 1 for l in lengths), text)
         return horizontal_sum([chain(l) for l in lengths])
     if name == "prod":
         parts = _split_prod(rest, text)
         if len(parts) < 2:
             raise SpecError(f"prod needs at least two factors: {text!r}")
+        sizes = [4 if p == "diamond" else _spec_int(p[len("chain:"):], p) + 1
+                 for p in parts]
+        _check_spec_size(math.prod(sizes), text)
         result = from_spec(parts[0])
         for p in parts[1:]:
             result = direct_product(result, from_spec(p))
         return result
     raise SpecError(f"unknown constructor {name!r}")
+
+
+def _check_spec_size(size, text):
+    if size > MAX_SPEC_SIZE:
+        raise SpecError(
+            f"{text!r} has {size} elements, above the limit {MAX_SPEC_SIZE}"
+        )
 
 
 def _spec_int(text, whole):

@@ -1,6 +1,6 @@
 """Exhaustive isomorph-free generation of small effect algebras.
 
-Search: the unit is pinned at index n-1 (harmless, every algebra has a
+Search: the unit is pinned at index 1 (harmless, every algebra has a
 relabeling with that shape), the zero row and the unit row are forced by
 the axioms, and the remaining upper-triangle cells are assigned depth
 first in row-major order.  Propagation on every assignment: symmetric
@@ -16,10 +16,11 @@ elements, so exactly one labeled table per class survives.  Minimality
 is tested on every partial table the search reaches: if a relabeling
 makes its decided prefix (the cells before the first undecided one)
 smaller, no completion can be minimal and the subtree is cut.  On a
-complete table the same test is the full minimality test.  Emitted
-tables are then keyed by their canonical form.  Running with the filter
-off (no test at all) and deduplicating by canonical key must give the
-same output; tests compare both modes.
+complete table the same test is the full minimality test.  The unit
+at 1 and the integer order of cells are canonical_form's, so an emitted
+table is its own canonical form and is keyed by its serialization.
+Running with the filter off (no test at all) and keying by
+canonical_form must give the same output; tests compare both modes.
 """
 
 import os
@@ -27,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import UNDEF, EffectAlgebraTable, validate
-from .corpus import parse
+from .corpus import parse, serialize
 from .lemmas import PASS, has_trivial_sharps, is_homogeneous
 from .structure import canonical_form, verify_C2_C3
 
@@ -64,32 +65,33 @@ class SurveyRow:
 
 
 def _smaller_relabeling_exists(S, n):
-    """True iff some relabeling that fixes 0 and the unit n-1 makes the
+    """True iff some relabeling that fixes 0 and the unit 1 makes the
     decided prefix of S lexicographically smaller.
 
-    Cells are compared in row-major order, and the comparison stops with
-    no verdict at the first cell that is undecided in S or in the relabeled
-    table, so a difference found before that holds for every completion
-    of S.  On a complete table this is the full minimality test.
+    Cells are compared in row-major order as integers (undefined -1, the
+    unit 1, interior elements 2..n-1), the order canonical_form minimises.
+    The comparison stops with no verdict at the first cell that is
+    undecided in S or in the relabeled table, so a difference found before
+    that holds for every completion of S.  On a complete table this is the
+    full minimality test.
 
-    Row 0, column 0 and column n-1 agree under every such relabeling, so
-    the comparison starts at cell (1, 1).  Relabeled row 1 is built column
+    Rows 0 and 1 and columns 0 and 1 agree under every such relabeling, so
+    the comparison starts at cell (2, 2).  Relabeled row 2 is built column
     by column, choosing the old element for each new index as it is
     needed.  A cell whose value is not placed yet can be made smaller
     (done), must equal the current cell (which places it), or can only be
-    larger (cut).  Once row 1 is equal the relabeling is complete and the
+    larger (cut).  Once row 2 is equal the relabeling is complete and the
     later rows are compared directly.
     """
-    one = n - 1
     order = [0] * n  # order[new] = old; 0 marks a new index not yet chosen
     perm = [0] * n  # perm[old] = new; 0 marks an element not yet placed
-    order[one] = perm[one] = one
+    order[1] = perm[1] = 1
 
     def later_rows_smaller():
-        for u in range(2, one):
+        for u in range(3, n):
             row_old = order[u] * n
             base = u * n
-            for w in range(1, one):
+            for w in range(2, n):
                 cur = S[base + w]
                 v = S[row_old + order[w]]
                 if cur == UNASSIGNED or v == UNASSIGNED:
@@ -99,14 +101,14 @@ def _smaller_relabeling_exists(S, n):
                     return pv < cur
         return False
 
-    def row1_from(w):
-        if w == one:
+    def row2_from(w):
+        if w == n:
             return later_rows_smaller()
-        if S[n + w] == UNASSIGNED:
+        if S[2 * n + w] == UNASSIGNED:
             return False
         if order[w]:
             return cell(w)
-        for x in range(1, one):
+        for x in range(2, n):
             if not perm[x]:
                 order[w], perm[x] = x, w
                 if cell(w):
@@ -115,40 +117,41 @@ def _smaller_relabeling_exists(S, n):
         return False
 
     def cell(w):
-        v = S[order[1] * n + order[w]]
-        cur = S[n + w]
+        v = S[order[2] * n + order[w]]
+        cur = S[2 * n + w]
         if v == UNASSIGNED:
             return False
         if v < 0 or perm[v]:
             pv = v if v < 0 else perm[v]
             if pv != cur:
                 return pv < cur
-            return row1_from(w + 1)
+            return row2_from(w + 1)
         # v is not placed yet: it takes a free index, and all are above w
-        if cur < 0:
+        # (so above an undefined cell and the unit)
+        if cur <= 1:
             return False
-        if cur == one or any(not order[p] for p in range(w + 1, cur)):
+        if any(not order[p] for p in range(w + 1, cur)):
             return True
         if order[cur]:
             return False
         order[cur], perm[v] = v, cur
-        if row1_from(w + 1):
+        if row2_from(w + 1):
             return True
         order[cur] = perm[v] = 0
         return False
 
-    return row1_from(1)
+    return row2_from(2)
 
 
 def _snapshot(S, n):
     rows = tuple(tuple(S[i * n : (i + 1) * n]) for i in range(n))
-    return EffectAlgebraTable(n, n - 1, rows)
+    return EffectAlgebraTable(n, 1, rows)
 
 
 def _enumerate_tables(n, first_values=None, leaf_filter=True):
-    """All valid tables with unit n-1; one per isomorphism class when
+    """All valid tables with unit 1: one canonical labeling per class when
     leaf_filter is on, every labeled table otherwise."""
-    one = n - 1
+    one = 1
     S = [UNASSIGNED] * (n * n)
     used = [0] * n
     unassigned = [0] * n
@@ -160,21 +163,17 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
     for x in range(1, n):
         S[one * n + x] = UNDEF
         S[x * n + one] = UNDEF
-    cells = [i * n + j for i in range(1, one) for j in range(i, one)]
-    for x in range(1, one):
+    cells = [i * n + j for i in range(2, n) for j in range(i, n)]
+    for x in range(2, n):
         unassigned[x] = n - 2
 
     results = []
-    if not cells:
-        results.append(_snapshot(S, n))
-        return results
-
     trail = []
     queue = []
 
     def find_open(r):
         base = r * n
-        for c in range(1, one):
+        for c in range(2, n):
             if S[base + c] == UNASSIGNED:
                 return c
         raise AssertionError("no open cell in row with positive unassigned count")
@@ -239,14 +238,14 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
         while queue:
             pos = queue.pop()
             i, j = divmod(pos, n)
-            for t in range(1, one):
+            for t in range(2, n):
                 if not (check(t, i, j) and check(i, j, t)):
                     return False
                 if i != j and not (check(t, j, i) and check(j, i, t)):
                     return False
-            for b in range(1, one):
+            for b in range(2, n):
                 base = b * n
-                for c in range(1, one):
+                for c in range(2, n):
                     w = S[base + c]
                     if w == j:
                         if not (check(i, b, c) and check(b, c, i)):
@@ -302,19 +301,26 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
 
 def _enumeration_worker(args):
     n, values, leaf_filter = args
-    return [canonical_form(t) for t in _enumerate_tables(n, values, leaf_filter)]
+    key = serialize if leaf_filter else canonical_form
+    return [key(t) for t in _enumerate_tables(n, values, leaf_filter)]
+
+
+def _check_cap(n, max_size):
+    cap = DEFAULT_MAX_SIZE if max_size is None else max_size
+    if n > cap:
+        raise SizeTooLarge(f"size {n} above configured cap {cap}")
 
 
 def enumerate_all(n, max_size=None, parallel=1, leaf_filter=True):
     """Canonical keys of every isomorphism class of size-n effect algebras,
-    sorted; deterministic including under parallel partitioning."""
-    cap = DEFAULT_MAX_SIZE if max_size is None else max_size
+    sorted; deterministic including under parallel partitioning.  The
+    filtered search emits canonical labelings, so it calls no
+    canonical_form."""
     if n < 2:
         raise ValueError("effect algebras have at least two elements")
-    if n > cap:
-        raise SizeTooLarge(f"size {n} above configured cap {cap}")
+    _check_cap(n, max_size)
     if parallel > 1 and n >= 3:
-        domain = (UNDEF, *range(2, n))  # choices for the first cell (1, 1)
+        domain = (UNDEF, 1, *range(3, n))  # choices for the first cell (2, 2)
         chunks = [domain[k::parallel] for k in range(parallel)]
         chunks = [c for c in chunks if c]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -355,6 +361,7 @@ def survey_row(n, keys):
 
 def survey(max_n, max_size=None, parallel=1):
     """One row per size 2..max_n aggregating the structure-theorem flags."""
+    _check_cap(max_n, max_size)
     return [
         survey_row(n, enumerate_all(n, max_size=max_size, parallel=parallel))
         for n in range(2, max_n + 1)
@@ -374,6 +381,7 @@ class CounterexampleSearch:
 def find_counterexample(max_n, max_size=None, parallel=1):
     """Search sizes 2..max_n for a theorem counterexample (none expected) and
     for the smallest non-homogeneous / non-lattice fixtures."""
+    _check_cap(max_n, max_size)
     theorem = non_homog = non_homog_trivial = non_lattice = None
     for n in range(2, max_n + 1):
         if theorem and non_homog and non_homog_trivial and non_lattice:
@@ -402,6 +410,7 @@ def find_counterexample(max_n, max_size=None, parallel=1):
 
 def write_enumeration(out_dir, max_n, max_size=None, parallel=1):
     """Persist canonical tables plus survey.tsv under out_dir; returns rows."""
+    _check_cap(max_n, max_size)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for n in range(2, max_n + 1):

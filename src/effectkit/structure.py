@@ -70,26 +70,23 @@ def relabel(table, perm):
 
 
 def canonical_form(x):
-    """Lexicographically least serialization over all relabelings fixing 0.
+    """Serialization of the relabeling fixing 0 whose integer tuple
+    (unit index, then the sum table row by row, undefined as -1) is least.
 
-    Equal byte strings iff isomorphic.  The serialization leads with the
-    unit's new index, and 1 is the least one (as bytes "1," also sorts
-    before "10,"), so the least serialization puts the unit at 1 and only
-    the (n-2)! relabelings of that shape are scanned.  For sizes up to 10
-    all indices are single digits, so byte order of the serialization
-    agrees with integer order on (one, flattened sum) and the scan can
-    compare plain tuples.
+    Equal byte strings iff isomorphic.  The order is integer order for
+    every size.  The tuple leads with the unit's new index, and 1 is the
+    least one, so the least tuple puts the unit at 1 and only the (n-2)!
+    relabelings of that shape are scanned.
     """
     t = _table_of(x)
     n, s = t.size, t.sum
-    if n > 10:
-        return min(
-            serialize(relabel(t, _perm_of(order, n))) for order in _orders(t)
-        )
-    best = None
-    best_perm = None
-    for order in _orders(t):
-        perm = _perm_of(order, n)
+    rest = [y for y in range(1, n) if y != t.one]
+    best = best_perm = None
+    for tail in permutations(rest):
+        order = (0, t.one, *tail)
+        perm = [0] * n
+        for new, old in enumerate(order):
+            perm[old] = new
         flat = [perm[t.one]]
         for oi in order:
             row = s[oi]
@@ -100,19 +97,6 @@ def canonical_form(x):
         if best is None or key < best:
             best, best_perm = key, perm
     return serialize(relabel(t, best_perm))
-
-
-def _orders(t):
-    rest = [x for x in range(1, t.size) if x != t.one]
-    for tail in permutations(rest):
-        yield (0, t.one, *tail)
-
-
-def _perm_of(order, n):
-    perm = [0] * n
-    for new, old in enumerate(order):
-        perm[old] = new
-    return perm
 
 
 def _signature(e, x):

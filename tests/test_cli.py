@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -148,6 +149,18 @@ def test_enumerate_env_cap(capsys, monkeypatch):
     assert main(["enumerate", "--max-size", "4"]) == 0
 
 
+def test_enumerate_cap_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EFFECTKIT_MAX_SIZE", "4")
+    out = tmp_path / "results"
+    out.mkdir()
+    assert main(["enumerate", "--max-size", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("size error")
+    assert not list(out.glob("size_*"))
+
+
 @pytest.mark.parametrize("value", ["abc", "", "1", "-3", "8.5"])
 def test_enumerate_bad_env_cap(capsys, monkeypatch, value):
     monkeypatch.setenv("EFFECTKIT_MAX_SIZE", value)
@@ -156,6 +169,26 @@ def test_enumerate_bad_env_cap(capsys, monkeypatch, value):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: EFFECTKIT_MAX_SIZE")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spec", ["chain:1000000000", "prod:chain:1000,chain:1000"])
+def test_oversize_spec_exits_2_at_once(spec):
+    # under a 1 GiB address-space limit and a timeout, so that a spec built
+    # before the size check fails this test instead of exhausting memory
+    proc = subprocess.run(
+        [sys.executable, "-m", "effectkit", "validate", spec],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error") and "limit" in err[0]
 
 
 def test_console_entry_smoke():

@@ -161,6 +161,15 @@ def test_bad_spec_strings(text):
         from_spec(text)
 
 
+def test_spec_size_bound_is_exact(monkeypatch):
+    monkeypatch.setattr(ek.corpus, "MAX_SPEC_SIZE", 9)
+    for text in ("chain:8", "hsum:4,5", "prod:chain:2,chain:2"):
+        assert from_spec(text).size == 9
+    for text in ("chain:9", "hsum:5,5", "prod:chain:2,diamond", "prod:chain:1,chain:1,chain:2"):
+        with pytest.raises(SpecError, match="above the limit 9"):
+            from_spec(text)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4))
 def test_horizontal_sum_size_formula(lengths):

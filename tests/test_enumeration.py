@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import effectkit as ek
+import effectkit.enumeration as en
 from effectkit.core import UNDEF, EffectAlgebraTable, ValidationError, validate
 from effectkit.enumeration import (
     UNASSIGNED,
@@ -25,6 +27,9 @@ from effectkit.lemmas import has_trivial_sharps, is_homogeneous
 from conftest import chain_multisets, partitions
 
 GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
+# sha256 of the concatenated keys of sizes 2..8 and 2..9
+KEYS_SHA256_TO_8 = "24ae786e1883e3ea88f250f5e6bfd575c37d57f2f82bde18efa4da28e7e9f712"
+KEYS_SHA256_TO_9 = "1bdb445ee3926590f744d2eb627f21758670af8dbb027dc4d3c57849693d354d"
 
 
 def brute_force_classes(n):
@@ -86,12 +91,22 @@ def test_class_counts(n, count):
     assert len(enumerate_all(n)) == count
 
 
+def _keys_sha256(per_size):
+    return hashlib.sha256(b"".join(b"".join(keys) for keys in per_size)).hexdigest()
+
+
+def test_key_bytes_sizes_2_to_8_are_pinned():
+    assert _keys_sha256(enumerate_all(n) for n in range(2, 9)) == KEYS_SHA256_TO_8
+
+
 def test_size_9_count_and_hypothesis_class():
     keys = enumerate_all(9)
     assert len(keys) == 60
     row = survey_row(9, keys)
     assert row.hypothesis_class == 15 == sum(1 for _ in partitions(7))
     assert row.counterexamples == 0
+    smaller = [enumerate_all(n) for n in range(2, 9)]
+    assert _keys_sha256([*smaller, keys]) == KEYS_SHA256_TO_9
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -103,14 +118,20 @@ def test_emitted_tables_are_minimal_and_pairwise_non_isomorphic(n):
     assert len({ek.canonical_form(t) for t in tables}) == len(tables)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_emitted_tables_are_their_own_canonical_form(n):
+    for t in _enumerate_tables(n):
+        assert ek.serialize(t) == ek.canonical_form(t)
+
+
 def _naive_smaller_prefix(S, n):
     """Reference for the prefix test: every relabeling fixing 0 and the
-    unit, compared cell by cell up to the first undecided cell."""
-    one = n - 1
-    for tail in permutations(range(1, one)):
-        order = (0, *tail, one)
+    unit 1, compared cell by cell as integers up to the first undecided
+    cell."""
+    for tail in permutations(range(2, n)):
+        order = (0, 1, *tail)
         perm = {old: new for new, old in enumerate(order)}
-        for u, w in product(range(1, one), repeat=2):
+        for u, w in product(range(2, n), repeat=2):
             cur, v = S[u * n + w], S[order[u] * n + order[w]]
             if UNASSIGNED in (cur, v):
                 break
@@ -126,8 +147,7 @@ def _naive_smaller_prefix(S, n):
 def test_prefix_test_matches_naive_reference(n):
     # partial tables: every labeled table with a suffix of its cells
     # undecided, and with a random half of that suffix decided again
-    one = n - 1
-    cells = [(i, j) for i in range(1, one) for j in range(i, one)]
+    cells = [(i, j) for i in range(2, n) for j in range(i, n)]
     rng = random.Random(n)
     cases = 0
     for t in _enumerate_tables(n, leaf_filter=False):
@@ -189,10 +209,11 @@ def test_leaf_filter_differential():
 
 def test_duplicate_guard_survives_optimize():
     # under -O an assert would vanish; the guard must still fire when two
-    # emitted tables share a key (forced here by a constant key)
+    # emitted tables share a key (forced here by a constant key in place
+    # of the serialization that keys the filtered search)
     code = (
         "import effectkit.enumeration as en\n"
-        "en.canonical_form = lambda t: b'same'\n"
+        "en.serialize = lambda t: b'same'\n"
         "en.enumerate_all(4)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(ek.__file__).parents[1])}
@@ -217,6 +238,22 @@ def test_size_cap():
         enumerate_all(5, max_size=4)
     with pytest.raises(ValueError):
         enumerate_all(1)
+
+
+def test_size_cap_is_checked_before_any_work(tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated before checking the cap")
+
+    monkeypatch.setattr(en, "enumerate_all", no_work)
+    out = tmp_path / "results"
+    for run in (
+        lambda: survey(5, max_size=4),
+        lambda: find_counterexample(5, max_size=4),
+        lambda: write_enumeration(str(out), 5, max_size=4),
+    ):
+        with pytest.raises(SizeTooLarge):
+            run()
+    assert not out.exists()
 
 
 def test_survey_rows():
