@@ -42,7 +42,6 @@ from .structure import (
     DecomposeError,
     canonical_form,
     decompose,
-    is_isomorphic,
     relabel,
     verify_C2_C3,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "homogeneity_witness",
     "horizontal_sum",
     "is_homogeneous",
-    "is_isomorphic",
     "lemma_suite",
     "parse",
     "relabel",

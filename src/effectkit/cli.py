@@ -176,7 +176,7 @@ def _parser():
     en.add_argument("--max-size", dest="max_size", type=int, default=6)
     en.add_argument("--parallel", dest="parallel", type=int, default=1)
     add("generate", "constructor spec", fmt_choices=None)
-    ha = add("hasse", "table file or constructor spec", fmt_choices=("dot",))
+    add("hasse", "table file or constructor spec", fmt_choices=("dot",))
     return p
 
 

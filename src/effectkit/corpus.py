@@ -11,6 +11,12 @@ import math
 from .core import UNDEF, CheckedEffectAlgebra, EffectAlgebraTable, validate
 
 
+# Largest algebra a table file or a spec may describe, checked before the
+# matrix is walked or anything is built: validation is cubic in the size,
+# and the lemma suite takes ~45 s at 256.
+MAX_SIZE = 256
+
+
 class ParseError(Exception):
     def __init__(self, message, offset=0):
         self.offset = offset
@@ -113,7 +119,9 @@ def serialize(table):
 
 
 def parse(data):
-    """Parse wire-format bytes into a table; axiom checking is validate's job."""
+    """Parse wire-format bytes into a table; axiom checking is validate's job.
+
+    A size above MAX_SIZE raises ParseError before the matrix is read."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -125,6 +133,8 @@ def parse(data):
     size, one, sum_ = doc["size"], doc["one"], doc["sum"]
     if not isinstance(size, int) or isinstance(size, bool) or size < 2:
         raise ParseError("size must be an integer >= 2")
+    if size > MAX_SIZE:
+        raise ParseError(f"size {size} is above the limit {MAX_SIZE}")
     if not isinstance(one, int) or isinstance(one, bool) or not 0 < one < size:
         raise ParseError("one must be an index in 1..size-1")
     if not isinstance(sum_, list) or len(sum_) != size:
@@ -139,9 +149,6 @@ def parse(data):
 
 
 CONSTRUCTOR_NAMES = ("chain", "hsum", "prod", "diamond")
-# Largest algebra a spec may build, checked before anything is allocated:
-# validation is cubic in the size, and the lemma suite takes ~45 s at 256.
-MAX_SPEC_SIZE = 256
 
 
 def is_spec_string(text):
@@ -154,7 +161,7 @@ def from_spec(text):
 
     Grammar: "chain:N" | "hsum:L1,L2,..." | "prod:PART,PART" | "diamond",
     where PART is "chain:N" or "diamond".  A spec that would build more
-    than MAX_SPEC_SIZE elements raises SpecError.
+    than MAX_SIZE elements raises SpecError.
     """
     name, _, rest = text.partition(":")
     if name == "diamond":
@@ -184,9 +191,9 @@ def from_spec(text):
 
 
 def _check_spec_size(size, text):
-    if size > MAX_SPEC_SIZE:
+    if size > MAX_SIZE:
         raise SpecError(
-            f"{text!r} has {size} elements, above the limit {MAX_SPEC_SIZE}"
+            f"{text!r} has {size} elements, above the limit {MAX_SIZE}"
         )
 
 

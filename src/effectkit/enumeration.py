@@ -315,7 +315,14 @@ def enumerate_all(n, max_size=None, parallel=1, leaf_filter=True):
     """Canonical keys of every isomorphism class of size-n effect algebras,
     sorted; deterministic including under parallel partitioning.  The
     filtered search emits canonical labelings, so it calls no
-    canonical_form."""
+    canonical_form.
+
+    The duplicate guard catches the same labeled table emitted twice, for
+    example by overlapping parallel chunks.  It cannot catch a faulty
+    minimality test, whose extra leaves are distinct labeled tables.  The
+    tests catch that: the golden counts,
+    test_emitted_tables_are_their_own_canonical_form, the sha256 pins of
+    the keys and the filter-off differential test."""
     if n < 2:
         raise ValueError("effect algebras have at least two elements")
     _check_cap(n, max_size)
@@ -330,7 +337,7 @@ def enumerate_all(n, max_size=None, parallel=1, leaf_filter=True):
         parts = [_enumeration_worker((n, None, leaf_filter))]
     keys = set().union(*parts)
     if leaf_filter and len(keys) != sum(map(len, parts)):
-        raise AssertionError("minimality filter emitted a duplicate")
+        raise AssertionError("search emitted the same labeled table twice")
     return sorted(keys)
 
 

@@ -78,30 +78,6 @@ def is_homogeneous(e):
     return homogeneity_witness(e) is None
 
 
-def is_homogeneous_alt(e):
-    """Independently coded variant (descending split search, no difference table)."""
-    n, s, leq, ortho = e.size, e.table.sum, e.leq, e.ortho
-    for u in range(n):
-        for v1 in range(n):
-            for v2 in range(n):
-                t = s[v1][v2]
-                if t == UNDEF or not (leq[u][t] and leq[t][ortho[u]]):
-                    continue
-                found = False
-                for u1 in range(n - 1, -1, -1):
-                    if not leq[u1][v1]:
-                        continue
-                    for u2 in range(n):
-                        if s[u1][u2] == u and leq[u2][v2]:
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    return False
-    return True
-
-
 def verify_homogeneity_witness(e, w):
     """Re-check a witness against the table using only order primitives."""
     t = e.table.sum[w.v1][w.v2]
@@ -266,18 +242,6 @@ def check_C1(e):
                     if e.leq[x][y]:
                         return LemmaReport("C1", FAIL, (a, b, x, y))
     return LemmaReport("C1", PASS)
-
-
-def check_L14_L15(e):
-    return [check_L14(e), check_L15(e)]
-
-
-def check_L30_L31_L32(e):
-    return [check_L30(e), check_L31(e), check_L32(e)]
-
-
-def check_T36_L33_C1(e):
-    return [check_L33(e), check_T36(e), check_C1(e)]
 
 
 def lemma_suite(e):

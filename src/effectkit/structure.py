@@ -1,24 +1,24 @@
-"""Chain decomposition, isomorphism testing and canonical forms.
+"""Chain decomposition and canonical forms.
 
 A finite homogeneous algebra whose only sharp elements are 0 and 1 splits
 into a horizontal sum of chains: one branch per atom a, consisting of the
 multiples of a up to its orthosupplement.  decompose() computes that
 splitting and fails loudly if the input is outside the hypothesis class
 (or, which would be a severe bug, satisfies the hypotheses but not the
-conclusion).
+conclusion).  verify_C2_C3() checks that splitting's labelling against
+every cell of the sum table.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
 
 from .core import UNDEF, CheckedEffectAlgebra, EffectAlgebraTable
-from .corpus import chain, horizontal_sum, serialize
+from .corpus import serialize
 from .lemmas import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
     LemmaReport,
-    has_trivial_sharps,
     homogeneity_witness,
 )
 
@@ -99,83 +99,6 @@ def canonical_form(x):
     return serialize(relabel(t, best_perm))
 
 
-def _signature(e, x):
-    defined = [v for v in e.table.sum[x] if v != UNDEF]
-    return (
-        len(defined),
-        sum(e.leq[y][x] for y in e.carrier),
-        sum(e.leq[x][y] for y in e.carrier),
-        e.table.sum[x][x] != UNDEF,
-        e.ortho[x] == x,
-    )
-
-
-def is_isomorphic(e, f):
-    """A zero/unit-preserving sum isomorphism as a list h (h[x in e] = y in f),
-    or None.  Backtracking over signature-compatible images."""
-    if e.size != f.size:
-        return None
-    n = e.size
-    sig_e = [_signature(e, x) for x in range(n)]
-    sig_f = [_signature(f, x) for x in range(n)]
-    if sorted(sig_e) != sorted(sig_f):
-        return None
-    if len(e.atoms) != len(f.atoms):
-        return None
-    if sorted(e.isotropy_index(a) for a in e.atoms) != sorted(
-        f.isotropy_index(a) for a in f.atoms
-    ):
-        return None
-
-    h = [-1] * n
-    used = [False] * n
-    h[0], used[0] = 0, True
-    if sig_e[e.one] != sig_f[f.one]:
-        return None
-    h[e.one], used[f.one] = f.one, True
-    todo = [x for x in range(1, n) if x != e.one]
-    se, sf = e.table.sum, f.table.sum
-
-    def compatible(x, y):
-        for w in range(n):
-            hw = h[w]
-            if hw < 0:
-                continue
-            v = se[x][w]
-            fv = sf[y][hw]
-            if v == UNDEF:
-                if fv != UNDEF:
-                    return False
-            else:
-                if fv == UNDEF:
-                    return False
-                if h[v] >= 0 and h[v] != fv:
-                    return False
-        return True
-
-    def search(k):
-        if k == len(todo):
-            return all(
-                (se[a][b] == UNDEF) == (sf[h[a]][h[b]] == UNDEF)
-                and (se[a][b] == UNDEF or h[se[a][b]] == sf[h[a]][h[b]])
-                for a in range(n)
-                for b in range(n)
-            )
-        x = todo[k]
-        for y in range(1, n):
-            if used[y] or sig_f[y] != sig_e[x]:
-                continue
-            if not compatible(x, y):
-                continue
-            h[x], used[y] = y, True
-            if search(k + 1):
-                return True
-            h[x], used[y] = -1, False
-        return False
-
-    return h if search(0) else None
-
-
 def decompose(e):
     """Split a homogeneous trivial-sharp algebra into chains of atom multiples."""
     extra = [x for x in e.sharp_set if x not in (0, e.one)]
@@ -221,8 +144,18 @@ def decompose(e):
 
 
 def verify_C2_C3(e):
-    """C2: the algebra is isomorphic to the horizontal sum of its decomposition
-    chains.  C3: it is a lattice.  Both need the standing hypotheses."""
+    """C2: the algebra is the horizontal sum of its decomposition chains.
+    C3: it is a lattice.  Both need the standing hypotheses.
+
+    C2 checks decompose's labelling x -> (b, k), with chain lengths l_b,
+    as a sum isomorphism.  Every cell x + y, with x labelled (b, k) and y
+    labelled (c, m), must follow the chain rule: if k = 0 or m = 0 the sum
+    is the other summand; if b != c or k + m > l_b it is undefined; if
+    k + m = l_b it is the unit, and otherwise the element labelled
+    (b, k + m).  The witness of a Fail is the first cell (x, y) that
+    breaks the rule.  Chains of equal length can be swapped, so the
+    labelling is an isomorphism exactly when some isomorphism exists.
+    """
     try:
         dec = decompose(e)
     except DecomposeError as exc:
@@ -233,11 +166,23 @@ def verify_C2_C3(e):
             ]
         return [LemmaReport("C2", NOT_APPLICABLE), LemmaReport("C3", NOT_APPLICABLE)]
 
-    rebuilt = horizontal_sum([chain(l) for l in dec.chain_lengths])
-    if is_isomorphic(e, rebuilt) is None:
-        c2 = LemmaReport("C2", FAIL, dec.chain_lengths)
-    else:
-        c2 = LemmaReport("C2", PASS)
+    lengths, label = dec.chain_lengths, dec.labeling
+    element = {bk: x for x, bk in label.items()}
+
+    def chain_sum(x, y):
+        (b, k), (c, m) = label[x], label[y]
+        if k == 0 or m == 0:
+            return y if k == 0 else x
+        if b != c or k + m > lengths[b]:
+            return UNDEF
+        return e.one if k + m == lengths[b] else element[b, k + m]
+
+    s = e.table.sum
+    bad = next(
+        ((x, y) for x in e.carrier for y in e.carrier if s[x][y] != chain_sum(x, y)),
+        None,
+    )
+    c2 = LemmaReport("C2", PASS) if bad is None else LemmaReport("C2", FAIL, bad)
 
     if e.is_lattice:
         c3 = LemmaReport("C3", PASS)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 import effectkit as ek
+from effectkit.core import UNDEF
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -83,3 +84,27 @@ def small_algebras():
         ),
         st.just(ek.boolean_diamond()),
     )
+
+
+def is_homogeneous_alt(e):
+    """Independently coded variant (descending split search, no difference table)."""
+    n, s, leq, ortho = e.size, e.table.sum, e.leq, e.ortho
+    for u in range(n):
+        for v1 in range(n):
+            for v2 in range(n):
+                t = s[v1][v2]
+                if t == UNDEF or not (leq[u][t] and leq[t][ortho[u]]):
+                    continue
+                found = False
+                for u1 in range(n - 1, -1, -1):
+                    if not leq[u1][v1]:
+                        continue
+                    for u2 in range(n):
+                        if s[u1][u2] == u and leq[u2][v2]:
+                            found = True
+                            break
+                    if found:
+                        break
+                if not found:
+                    return False
+    return True

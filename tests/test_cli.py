@@ -191,6 +191,25 @@ def test_oversize_spec_exits_2_at_once(spec):
     assert len(err) == 1 and err[0].startswith("parse error") and "limit" in err[0]
 
 
+def test_oversize_table_file_exits_2_at_once(tmp_path):
+    # a well-formed chain table one element above the limit; validating it
+    # would take cubic time, so the size check must come first
+    n = ek.corpus.MAX_SIZE + 1
+    rows = [[i + j if i + j < n else -1 for j in range(n)] for i in range(n)]
+    path = write_table(
+        tmp_path, "big.json", json.dumps({"size": n, "one": n - 1, "sum": rows}).encode()
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "effectkit", "validate", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error") and "limit" in err[0]
+
+
 def test_console_entry_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "effectkit", "analyze", "chain:2"],

@@ -263,3 +263,8 @@ def test_multiple_additivity(e, m, n):
 def test_sharp_set_contains_bounds(e):
     assert 0 in e.sharp_set
     assert e.one in e.sharp_set
+
+
+def test_every_export_resolves():
+    for name in ek.__all__:
+        assert hasattr(ek, name), name

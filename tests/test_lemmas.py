@@ -11,27 +11,23 @@ from effectkit.lemmas import (
     SUITE_ORDER,
     check_C1,
     check_L14,
-    check_L14_L15,
     check_L15,
     check_L20,
     check_L22,
     check_L30,
-    check_L30_L31_L32,
     check_L31,
     check_L32,
     check_L33,
     check_T36,
-    check_T36_L33_C1,
     has_trivial_sharps,
     homogeneity_witness,
     is_homogeneous,
-    is_homogeneous_alt,
     lemma_suite,
     render_reports,
     verify_homogeneity_witness,
 )
 
-from conftest import small_algebras
+from conftest import is_homogeneous_alt, small_algebras
 
 
 def hsum(*lengths):
@@ -95,15 +91,14 @@ def test_L22_not_applicable_on_non_homogeneous(e6):
 
 def test_L30_L31_L32_examples():
     h = hsum(2, 4)
-    for r in check_L30_L31_L32(h):
-        assert r.verdict == PASS
+    for check in (check_L30, check_L31, check_L32):
+        assert check(h).verdict == PASS
     b = h.atoms[1]
     assert h.isotropy_index(b) == 4
     assert h.multiple(b, 3) == h.ortho[b]
-    for r in check_L30_L31_L32(ek.chain(7)):
-        assert r.verdict == PASS
-    for r in check_L30_L31_L32(ek.boolean_diamond()):
-        assert r.verdict == NOT_APPLICABLE
+    for check in (check_L30, check_L31, check_L32):
+        assert check(ek.chain(7)).verdict == PASS
+        assert check(ek.boolean_diamond()).verdict == NOT_APPLICABLE
 
 
 def test_L32_covers_two_element_algebra():
@@ -113,8 +108,8 @@ def test_L32_covers_two_element_algebra():
 
 def test_T36_L33_C1_examples():
     h = hsum(3, 5)
-    reports = check_T36_L33_C1(h)
-    assert [r.verdict for r in reports] == [PASS, PASS, PASS]
+    for check in (check_L33, check_T36, check_C1):
+        assert check(h).verdict == PASS
     a, b = h.atoms
     ia = set(h.interval(a, h.ortho[a]))
     ib = set(h.interval(b, h.ortho[b]))
@@ -123,8 +118,8 @@ def test_T36_L33_C1_examples():
     assert check_T36(ek.chain(4)).verdict == PASS
     p = ek.direct_product(ek.chain(2), ek.chain(3))
     assert len(p.sharp_set) == 4
-    for r in check_T36_L33_C1(p):
-        assert r.verdict == NOT_APPLICABLE
+    for check in (check_L33, check_T36, check_C1):
+        assert check(p).verdict == NOT_APPLICABLE
 
 
 def test_lemma_suite_order_and_verdicts():

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effectkit as ek
-from effectkit.lemmas import NOT_APPLICABLE, PASS
+from effectkit.lemmas import FAIL, NOT_APPLICABLE, PASS
 from effectkit.structure import (
     DecomposeError,
     canonical_form,
     decompose,
-    is_isomorphic,
     relabel,
     verify_C2_C3,
 )
@@ -115,44 +114,6 @@ def test_theorem_violation_on_doctored_algebra():
     assert exc.value.kind == "TheoremViolation"
 
 
-def test_is_isomorphic_relabeling():
-    e = ek.chain(3)
-    for seed in range(5):
-        perm = random_perm(e.size, seed)
-        f = ek.validate(relabel(e.table, perm))
-        h = is_isomorphic(e, f)
-        assert h is not None
-        assert h[0] == 0 and h[e.one] == f.one
-
-
-def test_is_isomorphic_negatives():
-    d = ek.boolean_diamond()
-    h22 = hsum(2, 2)
-    assert is_isomorphic(d, h22) is None
-    assert is_isomorphic(d, ek.chain(3)) is None
-    assert is_isomorphic(ek.chain(3), ek.chain(4)) is None
-
-
-def test_is_isomorphic_identity():
-    for e in (ek.chain(4), ek.boolean_diamond(), hsum(2, 3)):
-        h = is_isomorphic(e, e)
-        assert h == list(range(e.size))
-
-
-def test_is_isomorphic_is_a_homomorphism():
-    e = hsum(2, 3)
-    perm = random_perm(e.size, 11)
-    f = ek.validate(relabel(e.table, perm))
-    h = is_isomorphic(e, f)
-    for x in e.carrier:
-        for y in e.carrier:
-            v = e.sum_of(x, y)
-            w = f.sum_of(h[x], h[y])
-            assert (v is None) == (w is None)
-            if v is not None:
-                assert h[v] == w
-
-
 def test_canonical_form_invariance():
     for e in (ek.chain(3), ek.boolean_diamond(), hsum(2, 2), hsum(2, 3)):
         key = canonical_form(e)
@@ -179,7 +140,7 @@ def test_canonical_form_is_a_valid_serialization():
     key = canonical_form(hsum(2, 3))
     t = ek.parse(key)
     assert ek.serialize(t) == key
-    assert is_isomorphic(ek.validate(t), hsum(2, 3)) is not None
+    assert canonical_form(ek.validate(t)) == key
 
 
 def test_verify_C2_C3():
@@ -188,6 +149,42 @@ def test_verify_C2_C3():
     na = verify_C2_C3(ek.direct_product(ek.chain(2), ek.chain(2)))
     assert [r.verdict for r in na] == [NOT_APPLICABLE, NOT_APPLICABLE]
     assert [r.lemma_id for r in reports] == ["C2", "C3"]
+    # n = 78, far past the sizes canonical_form can reach
+    big = hsum(20, 20, 20, 20)
+    shuffled = ek.validate(relabel(big.table, random_perm(big.size, 7)))
+    assert [r.verdict for r in verify_C2_C3(shuffled)] == [PASS, PASS]
+
+
+def test_C2_fails_with_a_cell_witness(monkeypatch):
+    h = hsum(2, 3)
+    dec = decompose(h)
+    lab = dict(dec.labeling)
+    p, q = (x for x in h.carrier if lab[x] in ((0, 1), (1, 1)))
+    lab[p], lab[q] = lab[q], lab[p]  # swap the atoms of the two branches
+    monkeypatch.setattr(
+        ek.structure, "decompose", lambda e: dataclasses.replace(dec, labeling=lab)
+    )
+    c2, c3 = verify_C2_C3(h)
+    assert c2.verdict == FAIL and c3.verdict == PASS
+
+    element = {bk: x for x, bk in lab.items()}
+    lengths = dec.chain_lengths
+
+    def chain_rule(x, y):
+        (b, k), (c, m) = lab[x], lab[y]
+        if k == 0:
+            return y
+        if m == 0:
+            return x
+        if b != c or k + m > lengths[b]:
+            return ek.UNDEF
+        return h.one if k + m == lengths[b] else element[b, k + m]
+
+    cells = [(x, y) for x in h.carrier for y in h.carrier]
+    first = cells.index(c2.witness)
+    x, y = c2.witness
+    assert h.table.sum[x][y] != chain_rule(x, y)
+    assert all(h.table.sum[u][v] == chain_rule(u, v) for u, v in cells[:first])
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,3 +206,4 @@ def test_round_trip_decomposition_property(lengths, rng):
     perm = [0] + rng.sample(range(1, h.size), h.size - 1)
     shuffled = ek.validate(relabel(h.table, perm))
     assert decompose(shuffled).chain_lengths == tuple(sorted(lengths))
+    assert [r.verdict for r in verify_C2_C3(shuffled)] == [PASS, PASS]
