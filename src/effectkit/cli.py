@@ -7,6 +7,7 @@ constructor specs ("chain:4", "hsum:2,3,3", "prod:chain:2,chain:2",
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -154,7 +155,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser():
+    # Built once per process: it holds only the command grammar, no input.
     p = argparse.ArgumentParser(prog="effectkit", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 

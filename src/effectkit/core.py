@@ -5,12 +5,26 @@ constants 0 and 1, a unique orthosupplement x' for every x (x + x' = 1),
 and the zero-one law (x + 1 defined forces x = 0).  Tables are square
 matrices of element indices with -1 marking an undefined sum; index 0 is
 always the zero element, the unit index is explicit.
+
+validate() turns a table into a CheckedEffectAlgebra or raises a
+ValidationError whose witness verify_validation_witness() re-checks.  A
+CheckedEffectAlgebra computes each derived property once, on first use,
+and keeps it: sharp_set, is_lattice and homogeneity_witness.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 UNDEF = -1
+
+
+@dataclass(frozen=True)
+class HomogeneityWitness:
+    """u below a defined sum v1+v2 below u', with no split of u along v1, v2."""
+
+    u: int
+    v1: int
+    v2: int
 
 
 class ValidationError(Exception):
@@ -39,7 +53,10 @@ class EffectAlgebraTable:
 class CheckedEffectAlgebra:
     """A validated algebra with its derived order, orthosupplement and atoms.
 
-    Immutable after validation; safe to share across concurrent readers.
+    The derived properties sharp_set, is_lattice and homogeneity_witness are
+    cached: each is computed on first use and then read, so it is computed
+    at most once per algebra.  Otherwise immutable after validation; safe to
+    share across concurrent readers.
     """
 
     table: EffectAlgebraTable
@@ -101,30 +118,78 @@ class CheckedEffectAlgebra:
     def sharp_set(self):
         return tuple(x for x in self.carrier if self.is_sharp(x))
 
+    @cached_property
+    def _bounds(self):
+        # Down-sets and up-sets as int bitsets (bit z of down[x] iff z <= x),
+        # and each set's element.  The common lower bounds of x and y are
+        # down[x] & down[y]; they have a greatest element g iff that set is
+        # down[g].  Antisymmetry makes every down-set (and up-set) distinct.
+        n, leq = self.size, self.leq
+        down, up = [0] * n, [0] * n
+        for x in range(n):
+            row = leq[x]
+            for y in range(n):
+                if row[y]:
+                    up[x] |= 1 << y
+                    down[y] |= 1 << x
+        by_down = {d: g for g, d in enumerate(down)}
+        by_up = {u: g for g, u in enumerate(up)}
+        return down, up, by_down, by_up
+
     def meet(self, x, y):
         """Greatest common lower bound, or None when no greatest one exists."""
-        leq = self.leq
-        lows = [z for z in self.carrier if leq[z][x] and leq[z][y]]
-        for g in lows:
-            if all(leq[z][g] for z in lows):
-                return g
-        return None
+        down, _, by_down, _ = self._bounds
+        return by_down.get(down[x] & down[y])
 
     def join(self, x, y):
-        leq = self.leq
-        ups = [z for z in self.carrier if leq[x][z] and leq[y][z]]
-        for g in ups:
-            if all(leq[g][z] for z in ups):
-                return g
-        return None
+        """Least common upper bound, or None when no least one exists."""
+        _, up, _, by_up = self._bounds
+        return by_up.get(up[x] & up[y])
 
     @cached_property
     def is_lattice(self):
-        pairs = [(x, y) for x in self.carrier for y in self.carrier if x < y]
+        down, up, by_down, by_up = self._bounds
+        n = self.size
         return all(
-            self.meet(x, y) is not None and self.join(x, y) is not None
-            for x, y in pairs
+            down[x] & down[y] in by_down and up[x] & up[y] in by_up
+            for x in range(n)
+            for y in range(x + 1, n)
         )
+
+    @cached_property
+    def homogeneity_witness(self):
+        """Lexicographically first (u, v1, v2) at which homogeneity fails, or
+        None when the algebra is homogeneous.
+
+        Homogeneity: whenever u <= v1 + v2 <= u' (the sum defined), u splits
+        as u1 + u2 with u1 <= v1 and u2 <= v2.  Only u <= u' can fail.  For
+        such a u, bit k of m1[v1] (m2[v2]) marks the splits u1 + u2 = u with
+        u1 <= v1 (u2 <= v2), and a defined cell (v1, v2) whose sum lies in
+        [u, u'] fails iff m1[v1] & m2[v2] == 0.  Defined cells are scanned in
+        row-major order, so the first failure is the lexicographic one.
+        """
+        n, s, leq, ortho = self.size, self.table.sum, self.leq, self.ortho
+        cells = [(v1, v2, t) for v1 in range(n) for v2, t in enumerate(s[v1]) if t != UNDEF]
+        splits = [[] for _ in range(n)]
+        for u1, u2, u in cells:
+            splits[u].append((u1, u2))
+        for u in range(n):
+            up, leq_u = ortho[u], leq[u]
+            if not leq_u[up]:
+                continue
+            leq_up = [row[up] for row in leq]
+            m1, m2 = [0] * n, [0] * n
+            for k, (u1, u2) in enumerate(splits[u]):
+                bit = 1 << k
+                for v, (a, b) in enumerate(zip(leq[u1], leq[u2])):
+                    if a:
+                        m1[v] |= bit
+                    if b:
+                        m2[v] |= bit
+            for v1, v2, t in cells:
+                if leq_u[t] and leq_up[t] and not m1[v1] & m2[v2]:
+                    return HomogeneityWitness(u, v1, v2)
+        return None
 
     def hasse_covers(self):
         """All pairs (x, y) with x < y and nothing strictly between."""
@@ -156,6 +221,58 @@ def _check_shape(t):
                 raise ValidationError("BadIndex", (i, j))
 
 
+def verify_validation_witness(table, err):
+    """Re-check a ValidationError against the raw table: True iff err.witness
+    is a genuine violation of the rule err.kind names.
+
+    Uses only the table's cells, never a derived order or orthosupplement,
+    and holds a witness to being a violation, not to being the first one.
+    A BadIndex witness (k,) names the size, the unit, the row count or a
+    row of the wrong length; (i, j) names an entry out of range.  Every
+    other kind needs a well-shaped table and indices inside it.
+    """
+    t, kind, w = table, err.kind, err.witness
+    if kind == "BadIndex":
+        n, rows = t.size, t.sum
+        match w:
+            case (int(i), int(j)) if 0 <= i < len(rows) and 0 <= j < len(rows[i]):
+                v = rows[i][j]
+                return not isinstance(v, int) or not UNDEF <= v < n
+            case (k,):
+                return (
+                    (k == n and n < 2)
+                    or (k == t.one and not (isinstance(k, int) and 0 < k < n))
+                    or (k == len(rows) != n)
+                    or (isinstance(k, int) and 0 <= k < len(rows) and len(rows[k]) != n)
+                )
+        return False
+    try:
+        _check_shape(t)
+    except ValidationError:
+        return False
+    n, one, s = t.size, t.one, t.sum
+    if not all(isinstance(i, int) and 0 <= i < n for i in w):
+        return False
+    match kind, w:
+        case "BadZero", (x,):
+            return s[0][x] != x
+        case "NotCommutative", (i, j):
+            return s[i][j] != s[j][i]
+        case "ZeroOneLawViolated", (x,):
+            return x != 0 and s[x][one] != UNDEF
+        case "OrthoMissing", (x,):
+            return one not in s[x]
+        case "OrthoNotUnique", (x, c1, c2):
+            return c1 != c2 and s[x][c1] == one == s[x][c2]
+        case "NotAssociative", (a, b, c):
+            bc = s[b][c]
+            if bc == UNDEF or s[a][bc] == UNDEF:
+                return False
+            ab = s[a][b]
+            return ab == UNDEF or s[ab][c] != s[a][bc]
+    return False
+
+
 def validate(table):
     """Check the effect-algebra axioms and derive order, ortho map and atoms.
 
@@ -164,7 +281,10 @@ def validate(table):
     zero-one law (ZeroOneLawViolated), existence and uniqueness of
     orthosupplements (OrthoMissing / OrthoNotUnique), and associativity in
     both directions including definedness transfer (NotAssociative).  The
-    first violation in lexicographic scan order is raised.  Cancellation,
+    first violation in lexicographic scan order is raised.  The
+    associativity scan visits only the defined cells (b, c) of each row, in
+    the unchanged (a, b, c) order, so its first witness is that of a scan
+    over all n**3 triples.  Cancellation,
     positivity and an involutive orthosupplement follow from the axioms;
     they are re-checked last, and a breach raises AssertionError, which
     marks a bug in the checks above.
@@ -197,24 +317,28 @@ def validate(table):
         ortho.append(partners[0])
 
     # One direction over all ordered triples covers both readings of
-    # associativity, given commutativity was verified above.
+    # associativity, given commutativity was verified above: a + (b + c)
+    # defined forces (a + b) + c defined and equal.
+    defined = [[(c, bc) for c, bc in enumerate(s[b]) if bc != UNDEF] for b in range(n)]
     for a in range(n):
+        row_a = s[a]
         for b in range(n):
-            for c in range(n):
-                bc = s[b][c]
-                if bc == UNDEF:
-                    continue
-                a_bc = s[a][bc]
-                if a_bc == UNDEF:
-                    continue
-                ab = s[a][b]
-                if ab == UNDEF or s[ab][c] != a_bc:
+            ab = row_a[b]
+            row_ab = None if ab == UNDEF else s[ab]
+            for c, bc in defined[b]:
+                a_bc = row_a[bc]
+                if a_bc != UNDEF and (row_ab is None or row_ab[c] != a_bc):
                     raise ValidationError("NotAssociative", (a, b, c))
 
-    leq = tuple(
-        tuple(any(s[x][c] == y for c in range(n)) for y in range(n))
-        for x in range(n)
-    )
+    # leq[x][y] iff some c has x + c = y: mark each row's defined sums.
+    leq = []
+    for x in range(n):
+        row = [False] * n
+        for y in s[x]:
+            if y != UNDEF:
+                row[y] = True
+        leq.append(tuple(row))
+    leq = tuple(leq)
 
     # Sanity: consequences of the axioms, never assumed above.
     for a in range(n):

@@ -9,7 +9,7 @@ C1, C2, C3.
 
 from dataclasses import dataclass
 
-from .core import UNDEF
+from .core import UNDEF, HomogeneityWitness  # HomogeneityWitness: re-exported
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -31,51 +31,14 @@ class LemmaReport:
         return line
 
 
-@dataclass(frozen=True)
-class HomogeneityWitness:
-    """u below a defined sum v1+v2 below u', with no split of u along v1, v2."""
-
-    u: int
-    v1: int
-    v2: int
-
-
-def _difference_table(e):
-    # diff[v][u1] = u2 with u1 + u2 = v; unique by cancellation.
-    n = e.size
-    diff = [[UNDEF] * n for _ in range(n)]
-    s = e.table.sum
-    for u1 in range(n):
-        for u2 in range(n):
-            v = s[u1][u2]
-            if v != UNDEF:
-                diff[v][u1] = u2
-    return diff
-
-
 def homogeneity_witness(e):
-    """Lexicographically first failure of homogeneity, or None."""
-    n, s, leq, ortho = e.size, e.table.sum, e.leq, e.ortho
-    diff = _difference_table(e)
-    for u in range(n):
-        up = ortho[u]
-        du = diff[u]
-        for v1 in range(n):
-            for v2 in range(n):
-                t = s[v1][v2]
-                if t == UNDEF or not (leq[u][t] and leq[t][up]):
-                    continue
-                for u1 in range(n):
-                    u2 = du[u1]
-                    if u2 != UNDEF and leq[u1][v1] and leq[u2][v2]:
-                        break
-                else:
-                    return HomogeneityWitness(u, v1, v2)
-    return None
+    """Lexicographically first failure of homogeneity, or None (computed
+    once per algebra, see CheckedEffectAlgebra.homogeneity_witness)."""
+    return e.homogeneity_witness
 
 
 def is_homogeneous(e):
-    return homogeneity_witness(e) is None
+    return e.homogeneity_witness is None
 
 
 def verify_homogeneity_witness(e, w):

@@ -14,13 +14,7 @@ from itertools import permutations
 
 from .core import UNDEF, CheckedEffectAlgebra, EffectAlgebraTable
 from .corpus import serialize
-from .lemmas import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
-    LemmaReport,
-    homogeneity_witness,
-)
+from .lemmas import FAIL, NOT_APPLICABLE, PASS, LemmaReport
 
 
 class DecomposeError(Exception):
@@ -104,7 +98,7 @@ def decompose(e):
     extra = [x for x in e.sharp_set if x not in (0, e.one)]
     if extra:
         raise DecomposeError("NotTrivialSharps", tuple(extra))
-    w = homogeneity_witness(e)
+    w = e.homogeneity_witness
     if w is not None:
         raise DecomposeError("NotHomogeneous", w)
 

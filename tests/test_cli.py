@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import effectkit as ek
+from effectkit import cli
 from effectkit.cli import main
 from effectkit.lemmas import SUITE_ORDER, analyze
 
@@ -59,6 +60,17 @@ def test_analyze_json_round_trips(capsys):
     assert main(["analyze", "hsum:2,3", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == analyze(ek.from_spec("hsum:2,3")).as_dict()
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: effectkit analyze")
+    assert main(["analyze", "chain:3", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(analyze(ek.chain(3)).as_dict(), sort_keys=True) + "\n"
 
 
 def test_analyze_diamond_and_product(capsys):

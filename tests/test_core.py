@@ -1,11 +1,28 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effectkit as ek
-from effectkit.core import UNDEF, EffectAlgebraTable, ValidationError, validate
+from effectkit.core import (
+    UNDEF,
+    EffectAlgebraTable,
+    ValidationError,
+    validate,
+    verify_validation_witness,
+)
 
-from conftest import small_algebras
+from conftest import (
+    corrupted,
+    first_violation_alt,
+    is_lattice_alt,
+    join_alt,
+    meet_alt,
+    non_homogeneous_fixture,
+    relabelled,
+    small_algebras,
+)
 
 U = UNDEF
 
@@ -94,9 +111,11 @@ def test_bad_zero():
     ],
 )
 def test_bad_index(size, one, rows):
+    t = EffectAlgebraTable(size, one, tuple(tuple(r) for r in rows))
     with pytest.raises(ValidationError) as exc:
-        validate(EffectAlgebraTable(size, one, tuple(tuple(r) for r in rows)))
+        validate(t)
     assert exc.value.kind == "BadIndex"
+    assert verify_validation_witness(t, exc.value)
 
 
 def test_not_associative_first_witness():
@@ -268,3 +287,93 @@ def test_sharp_set_contains_bounds(e):
 def test_every_export_resolves():
     for name in ek.__all__:
         assert hasattr(ek, name), name
+
+
+def validate_outcome(t):
+    try:
+        e = validate(t)
+    except ValidationError as err:
+        return err.kind, err.witness
+    return None, (e.leq, e.ortho, e.atoms)
+
+
+def differential_tables():
+    rng = random.Random(20261018)
+    sources = [ek.chain(n).table for n in range(1, 8)]
+    sources += [
+        ek.horizontal_sum([ek.chain(l) for l in ls]).table
+        for ls in ((2, 2), (1, 3), (3, 4, 5), (2, 2, 2, 6))
+    ]
+    sources += [ek.direct_product(ek.chain(2), ek.chain(3)).table, ek.boolean_diamond().table]
+    sources.append(non_homogeneous_fixture().table)
+    for t in sources:
+        t = relabelled(t, rng)
+        yield t
+        for cells in (1, 1, 2, 3) * 5:
+            yield corrupted(t, rng, cells)
+
+
+def test_validate_matches_naive_scan_on_seeded_corruptions():
+    kinds = set()
+    for t in differential_tables():
+        got = validate_outcome(t)
+        assert got == first_violation_alt(t)
+        kinds.add(got[0])
+    assert kinds == {
+        None, "BadIndex", "BadZero", "NotCommutative", "ZeroOneLawViolated",
+        "OrthoMissing", "OrthoNotUnique", "NotAssociative",
+    }
+
+
+def test_lattice_meet_join_match_naive_search(reference_algebras):
+    lattices = 0
+    for e in reference_algebras:
+        assert e.is_lattice == is_lattice_alt(e)
+        lattices += e.is_lattice
+        for x in e.carrier:
+            for y in e.carrier:
+                assert e.meet(x, y) == meet_alt(e, x, y)
+                assert e.join(x, y) == join_alt(e, x, y)
+    assert 0 < lattices < len(reference_algebras)
+
+
+def test_validation_witnesses_reverify():
+    t = ek.chain(3).table
+    rows = [list(r) for r in t.sum]
+    rows[1][1] = 3  # 1 + 1 = the unit: 1 has two orthosupplements, 1 and 2
+    bad = table(4, 3, rows)
+    with pytest.raises(ValidationError) as exc:
+        validate(bad)
+    err = exc.value
+    assert (err.kind, err.witness) == ("OrthoNotUnique", (1, 1, 2))
+    assert verify_validation_witness(bad, err)
+    assert not verify_validation_witness(t, err)
+    # none of these holds on the valid chain(3)
+    for kind, witness in [
+        ("BadZero", (1,)),
+        ("NotCommutative", (1, 2)),
+        ("ZeroOneLawViolated", (0,)),
+        ("ZeroOneLawViolated", (1,)),
+        ("OrthoMissing", (1,)),
+        ("OrthoNotUnique", (1, 2, 2)),
+        ("NotAssociative", (1, 1, 1)),
+        ("BadIndex", (4,)),
+        ("BadIndex", (1, 1)),
+        ("NoSuchKind", (1,)),
+        ("BadZero", (7,)),
+        ("BadZero", (1, 2)),
+    ]:
+        assert not verify_validation_witness(t, ValidationError(kind, witness)), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_algebras(), st.randoms(use_true_random=False), st.integers(1, 3))
+def test_corrupted_table_validates_or_its_witness_reverifies(e, rng, cells):
+    t = relabelled(e.table, rng)
+    bad = corrupted(t, rng, cells)
+    try:
+        validate(bad)
+    except ValidationError as err:
+        assert verify_validation_witness(bad, err)
+        # the uncorrupted table breaks no rule, so no witness holds on it
+        assert not verify_validation_witness(t, err)

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,13 @@ from effectkit.lemmas import (
     verify_homogeneity_witness,
 )
 
-from conftest import is_homogeneous_alt, small_algebras
+from conftest import (
+    first_homogeneity_failure_alt,
+    is_homogeneous_alt,
+    non_homogeneous_fixture,
+    relabelled,
+    small_algebras,
+)
 
 
 def hsum(*lengths):
@@ -58,6 +66,45 @@ def test_homogeneity_differential_variants(e):
 
 def test_homogeneity_differential_on_non_homogeneous(e6):
     assert not is_homogeneous_alt(e6)
+
+
+def test_homogeneity_witness_matches_search_by_definition(reference_algebras):
+    rng = random.Random(11)
+    fixture = non_homogeneous_fixture()
+    sums = [
+        ek.validate(relabelled(ek.horizontal_sum(parts).table, rng))
+        for parts in (
+            [fixture, ek.chain(2)],
+            [ek.chain(3), fixture],
+            [ek.chain(1), fixture, ek.chain(4)],
+            [fixture, fixture],
+        )
+    ]
+    failures = 0
+    for e in reference_algebras + sums:
+        w = homogeneity_witness(e)
+        want = first_homogeneity_failure_alt(e)
+        assert (None if w is None else (w.u, w.v1, w.v2)) == want
+        failures += w is not None
+    assert failures > len(sums)
+
+
+def test_homogeneity_is_computed_once_per_algebra(monkeypatch):
+    prop = ek.CheckedEffectAlgebra.__dict__["homogeneity_witness"]
+    runs = []
+
+    def counted(e):
+        runs.append(e)
+        return prop.func(e)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(ek.CheckedEffectAlgebra, "homogeneity_witness")
+    monkeypatch.setattr(ek.CheckedEffectAlgebra, "homogeneity_witness", counting)
+    e = ek.validate(relabelled(hsum(3, 4, 5).table, random.Random(3)))
+    ek.analyze(e)
+    lemma_suite(e)
+    ek.decompose(e)
+    assert len(runs) == 1
 
 
 def test_L14_examples():
