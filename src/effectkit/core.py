@@ -27,6 +27,24 @@ class HomogeneityWitness:
     v2: int
 
 
+PASS = "Pass"
+FAIL = "Fail"
+NOT_APPLICABLE = "NotApplicable"
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    lemma_id: str
+    verdict: str
+    witness: tuple | None = None
+
+    def render(self):
+        line = f"{self.lemma_id} {self.verdict}"
+        if self.witness is not None:
+            line += f" witness={self.witness}"
+        return line
+
+
 class ValidationError(Exception):
     """An axiom violation, with the first offending index tuple as witness."""
 

@@ -17,10 +17,11 @@ is tested on every partial table the search reaches: if a relabeling
 makes its decided prefix (the cells before the first undecided one)
 smaller, no completion can be minimal and the subtree is cut.  On a
 complete table the same test is the full minimality test.  The unit
-at 1 and the integer order of cells are canonical_form's, so an emitted
-table is its own canonical form and is keyed by its serialization.
-Running with the filter off (no test at all) and keying by
-canonical_form must give the same output; tests compare both modes.
+at 1 and the integer order of cells are canonical_form's, and
+canonical_form descends by the same test, so an emitted table is its own
+canonical form and is keyed by its serialization.  The tests compare the
+keys with every labeled table of the unfiltered search keyed by an
+independent scan over all relabelings.
 """
 
 import os
@@ -30,10 +31,9 @@ from dataclasses import dataclass
 from .core import UNDEF, EffectAlgebraTable, validate
 from .corpus import parse, serialize
 from .lemmas import PASS, has_trivial_sharps, is_homogeneous
-from .structure import canonical_form, verify_C2_C3
+from .structure import UNASSIGNED, _smaller_relabeling, verify_C2_C3
 
 DEFAULT_MAX_SIZE = 10
-UNASSIGNED = -2
 
 SURVEY_COLUMNS = (
     "size",
@@ -62,85 +62,6 @@ class SurveyRow:
 
     def as_tsv(self):
         return "\t".join(str(getattr(self, c)) for c in SURVEY_COLUMNS)
-
-
-def _smaller_relabeling_exists(S, n):
-    """True iff some relabeling that fixes 0 and the unit 1 makes the
-    decided prefix of S lexicographically smaller.
-
-    Cells are compared in row-major order as integers (undefined -1, the
-    unit 1, interior elements 2..n-1), the order canonical_form minimises.
-    The comparison stops with no verdict at the first cell that is
-    undecided in S or in the relabeled table, so a difference found before
-    that holds for every completion of S.  On a complete table this is the
-    full minimality test.
-
-    Rows 0 and 1 and columns 0 and 1 agree under every such relabeling, so
-    the comparison starts at cell (2, 2).  Relabeled row 2 is built column
-    by column, choosing the old element for each new index as it is
-    needed.  A cell whose value is not placed yet can be made smaller
-    (done), must equal the current cell (which places it), or can only be
-    larger (cut).  Once row 2 is equal the relabeling is complete and the
-    later rows are compared directly.
-    """
-    order = [0] * n  # order[new] = old; 0 marks a new index not yet chosen
-    perm = [0] * n  # perm[old] = new; 0 marks an element not yet placed
-    order[1] = perm[1] = 1
-
-    def later_rows_smaller():
-        for u in range(3, n):
-            row_old = order[u] * n
-            base = u * n
-            for w in range(2, n):
-                cur = S[base + w]
-                v = S[row_old + order[w]]
-                if cur == UNASSIGNED or v == UNASSIGNED:
-                    return False
-                pv = v if v < 0 else perm[v]
-                if pv != cur:
-                    return pv < cur
-        return False
-
-    def row2_from(w):
-        if w == n:
-            return later_rows_smaller()
-        if S[2 * n + w] == UNASSIGNED:
-            return False
-        if order[w]:
-            return cell(w)
-        for x in range(2, n):
-            if not perm[x]:
-                order[w], perm[x] = x, w
-                if cell(w):
-                    return True
-                order[w] = perm[x] = 0
-        return False
-
-    def cell(w):
-        v = S[order[2] * n + order[w]]
-        cur = S[2 * n + w]
-        if v == UNASSIGNED:
-            return False
-        if v < 0 or perm[v]:
-            pv = v if v < 0 else perm[v]
-            if pv != cur:
-                return pv < cur
-            return row2_from(w + 1)
-        # v is not placed yet: it takes a free index, and all are above w
-        # (so above an undefined cell and the unit)
-        if cur <= 1:
-            return False
-        if any(not order[p] for p in range(w + 1, cur)):
-            return True
-        if order[cur]:
-            return False
-        order[cur], perm[v] = v, cur
-        if row2_from(w + 1):
-            return True
-        order[cur] = perm[v] = 0
-        return False
-
-    return row2_from(2)
 
 
 def _snapshot(S, n):
@@ -263,7 +184,7 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
             idx += 1
         # no completion of a prefix that some relabeling makes smaller is
         # minimal; at the leaf this is the full minimality test
-        if leaf_filter and _smaller_relabeling_exists(S, n):
+        if leaf_filter and _smaller_relabeling(S, n) is not None:
             return
         if idx == last:
             results.append(_snapshot(S, n))
@@ -300,9 +221,8 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
 
 
 def _enumeration_worker(args):
-    n, values, leaf_filter = args
-    key = serialize if leaf_filter else canonical_form
-    return [key(t) for t in _enumerate_tables(n, values, leaf_filter)]
+    n, values = args
+    return [serialize(t) for t in _enumerate_tables(n, values)]
 
 
 def _check_cap(n, max_size):
@@ -311,11 +231,11 @@ def _check_cap(n, max_size):
         raise SizeTooLarge(f"size {n} above configured cap {cap}")
 
 
-def enumerate_all(n, max_size=None, parallel=1, leaf_filter=True):
+def enumerate_all(n, max_size=None, parallel=1):
     """Canonical keys of every isomorphism class of size-n effect algebras,
     sorted; deterministic including under parallel partitioning.  The
-    filtered search emits canonical labelings, so it calls no
-    canonical_form.
+    search emits canonical labelings, so each key is the serialization of
+    an emitted table and no canonical_form is called.
 
     The duplicate guard catches the same labeled table emitted twice, for
     example by overlapping parallel chunks.  It cannot catch a faulty
@@ -331,12 +251,11 @@ def enumerate_all(n, max_size=None, parallel=1, leaf_filter=True):
         chunks = [domain[k::parallel] for k in range(parallel)]
         chunks = [c for c in chunks if c]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            args = [(n, chunk, leaf_filter) for chunk in chunks]
-            parts = list(pool.map(_enumeration_worker, args))
+            parts = list(pool.map(_enumeration_worker, [(n, c) for c in chunks]))
     else:
-        parts = [_enumeration_worker((n, None, leaf_filter))]
+        parts = [_enumeration_worker((n, None))]
     keys = set().union(*parts)
-    if leaf_filter and len(keys) != sum(map(len, parts)):
+    if len(keys) != sum(map(len, parts)):
         raise AssertionError("search emitted the same labeled table twice")
     return sorted(keys)
 

@@ -9,26 +9,11 @@ C1, C2, C3.
 
 from dataclasses import dataclass
 
-from .core import UNDEF, HomogeneityWitness  # HomogeneityWitness: re-exported
-
-PASS = "Pass"
-FAIL = "Fail"
-NOT_APPLICABLE = "NotApplicable"
+# re-exported: HomogeneityWitness, LemmaReport and the verdicts
+from .core import FAIL, NOT_APPLICABLE, PASS, UNDEF, HomogeneityWitness, LemmaReport
+from .structure import verify_C2_C3
 
 SUITE_ORDER = ("L14", "L15", "L20", "L22", "L30", "L31", "L32", "L33", "T36", "C1", "C2", "C3")
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma_id: str
-    verdict: str
-    witness: tuple | None = None
-
-    def render(self):
-        line = f"{self.lemma_id} {self.verdict}"
-        if self.witness is not None:
-            line += f" witness={self.witness}"
-        return line
 
 
 def homogeneity_witness(e):
@@ -209,8 +194,6 @@ def check_C1(e):
 
 def lemma_suite(e):
     """All statement oracles in stable order L14 ... C1, C2, C3."""
-    from .structure import verify_C2_C3  # cycle: structure uses homogeneity
-
     reports = [
         check_L14(e),
         check_L15(e),

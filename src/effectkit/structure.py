@@ -10,11 +10,13 @@ every cell of the sum table.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .core import UNDEF, CheckedEffectAlgebra, EffectAlgebraTable
+from .core import (
+    FAIL, NOT_APPLICABLE, PASS, UNDEF, CheckedEffectAlgebra, EffectAlgebraTable, LemmaReport
+)
 from .corpus import serialize
-from .lemmas import FAIL, NOT_APPLICABLE, PASS, LemmaReport
+
+UNASSIGNED = -2  # a cell the search has not decided yet
 
 
 class DecomposeError(Exception):
@@ -63,34 +65,109 @@ def relabel(table, perm):
     return EffectAlgebraTable.from_rows(n, perm[table.one], rows)
 
 
+def _smaller_relabeling(S, n):
+    """A relabeling perm[old] = new that fixes 0 and the unit 1 and makes
+    the decided prefix of the flat table S (UNASSIGNED marks undecided
+    cells) lexicographically smaller, or None if there is none.
+
+    Cells are compared in row-major order as integers (undefined -1, the
+    unit 1, interior elements 2..n-1), the order canonical_form minimises.
+    The comparison stops with no verdict at the first cell that is
+    undecided in S or in the relabeled table, so a difference found before
+    that holds for every completion of S.  On a complete table the test is
+    exact: None means S is its own least relabeling.
+
+    Rows 0 and 1 and columns 0 and 1 agree under every such relabeling, so
+    the comparison starts at cell (2, 2).  Relabeled row 2 is built column
+    by column, choosing the old element for each new index as it is
+    needed.  A cell whose value is not placed yet can be made smaller
+    (placed at a free index below the current cell: done), must equal the
+    current cell (which places it), or can only be larger (cut).  Once row
+    2 is equal the relabeling is complete and the later rows are compared
+    directly.  Indices still free when the verdict falls are filled in any
+    order, as no cell compared so far involves them.
+    """
+    order = [0] * n  # order[new] = old; 0 marks a new index not yet chosen
+    perm = [0] * n  # perm[old] = new; 0 marks an element not yet placed
+    order[1] = perm[1] = 1
+
+    def later_rows_smaller():
+        for u in range(3, n):
+            row_old = order[u] * n
+            base = u * n
+            for w in range(2, n):
+                cur = S[base + w]
+                v = S[row_old + order[w]]
+                if cur == UNASSIGNED or v == UNASSIGNED:
+                    return False
+                pv = v if v < 0 else perm[v]
+                if pv != cur:
+                    return pv < cur
+        return False
+
+    def row2_from(w):
+        if w == n:
+            return later_rows_smaller()
+        if S[2 * n + w] == UNASSIGNED:
+            return False
+        if order[w]:
+            return cell(w)
+        for x in range(2, n):
+            if not perm[x]:
+                order[w], perm[x] = x, w
+                if cell(w):
+                    return True
+                order[w] = perm[x] = 0
+        return False
+
+    def cell(w):
+        v = S[order[2] * n + order[w]]
+        cur = S[2 * n + w]
+        if v == UNASSIGNED:
+            return False
+        if v < 0 or perm[v]:
+            pv = v if v < 0 else perm[v]
+            if pv != cur:
+                return pv < cur
+            return row2_from(w + 1)
+        # v is not placed yet: it takes a free index, and all are above w
+        # (so above an undefined cell and the unit)
+        if cur <= 1:
+            return False
+        # the least free index decides: below cur the cell is smaller, at
+        # cur it ties, above cur every choice is larger
+        for p in range(w + 1, cur + 1):
+            if not order[p]:
+                order[p], perm[v] = v, p
+                if p < cur or row2_from(w + 1):
+                    return True
+                order[p] = perm[v] = 0
+                return False
+        return False
+
+    if not row2_from(2):
+        return None
+    free = (p for p in range(2, n) if not order[p])
+    return [0] + [perm[x] or next(free) for x in range(1, n)]
+
+
 def canonical_form(x):
     """Serialization of the relabeling fixing 0 whose integer tuple
     (unit index, then the sum table row by row, undefined as -1) is least.
 
-    Equal byte strings iff isomorphic.  The order is integer order for
-    every size.  The tuple leads with the unit's new index, and 1 is the
-    least one, so the least tuple puts the unit at 1 and only the (n-2)!
-    relabelings of that shape are scanned.
+    Equal byte strings iff isomorphic.  The tuple leads with the unit's new
+    index, and 1 is the least one, so the table is first relabeled with
+    the unit at 1.  Then _smaller_relabeling's witness is applied until
+    there is none.  Each step makes the tuple strictly smaller and the test
+    is exact on a complete table, so the descent stops at the least tuple.
     """
     t = _table_of(x)
-    n, s = t.size, t.sum
-    rest = [y for y in range(1, n) if y != t.one]
-    best = best_perm = None
-    for tail in permutations(rest):
-        order = (0, t.one, *tail)
-        perm = [0] * n
-        for new, old in enumerate(order):
-            perm[old] = new
-        flat = [perm[t.one]]
-        for oi in order:
-            row = s[oi]
-            for oj in order:
-                v = row[oj]
-                flat.append(UNDEF if v < 0 else perm[v])
-        key = tuple(flat)
-        if best is None or key < best:
-            best, best_perm = key, perm
-    return serialize(relabel(t, best_perm))
+    perm = list(range(t.size))
+    perm[1], perm[t.one] = t.one, 1
+    while perm is not None:
+        t = relabel(t, perm)
+        perm = _smaller_relabeling([v for row in t.sum for v in row], t.size)
+    return serialize(t)
 
 
 def decompose(e):

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +289,40 @@ def test_sharp_set_contains_bounds(e):
 def test_every_export_resolves():
     for name in ek.__all__:
         assert hasattr(ek, name), name
+
+
+def _package_imports(node, modules):
+    """Names of the package's modules imported anywhere under node, by a
+    relative or an absolute import."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            paths = [a.name for a in sub.names]
+        elif isinstance(sub, ast.ImportFrom):
+            base = ".".join(filter(None, ("effectkit" if sub.level else "", sub.module)))
+            paths = [base, *(f"{base}.{a.name}" for a in sub.names)]
+        else:
+            continue
+        for parts in (path.split(".") for path in paths):
+            if parts[0] == "effectkit" and len(parts) > 1 and parts[1] in modules:
+                found.add(parts[1])
+    return found
+
+
+def test_imports_are_at_module_level_and_acyclic():
+    paths = sorted(Path(ek.__file__).parent.glob("*.py"))
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [s for s in ast.walk(fn) if isinstance(s, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{name}.{fn.name} imports at line {inner[0].lineno}"
+    graph = {name: _package_imports(tree, trees) - {name} for name, tree in trees.items()}
+    while graph:
+        leaves = [m for m, deps in graph.items() if not deps & graph.keys()]
+        assert leaves, f"import cycle among {sorted(graph)}"
+        for m in leaves:
+            del graph[m]
 
 
 def validate_outcome(t):

@@ -12,10 +12,8 @@ import effectkit as ek
 import effectkit.enumeration as en
 from effectkit.core import UNDEF, EffectAlgebraTable, ValidationError, validate
 from effectkit.enumeration import (
-    UNASSIGNED,
     SizeTooLarge,
     _enumerate_tables,
-    _smaller_relabeling_exists,
     enumerate_all,
     find_counterexample,
     survey,
@@ -23,8 +21,9 @@ from effectkit.enumeration import (
     write_enumeration,
 )
 from effectkit.lemmas import has_trivial_sharps, is_homogeneous
+from effectkit.structure import UNASSIGNED, _smaller_relabeling
 
-from conftest import chain_multisets, partitions
+from conftest import chain_multisets, partitions, relabelled
 
 GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
 # sha256 of the concatenated keys of sizes 2..8 and 2..9
@@ -75,6 +74,25 @@ def _naive_canonical(t):
     return best
 
 
+def _scan_canonical(t):
+    """Reference canonical key: scan the (n-2)! relabelings fixing 0 that
+    put the unit at 1, keep the least integer tuple (the sum table row by
+    row, undefined as -1) and serialize it."""
+    n, s = t.size, t.sum
+    rest = [y for y in range(1, n) if y != t.one]
+    best = None
+    for tail in permutations(rest):
+        order = (0, t.one, *tail)
+        perm = [0] * n
+        for new, old in enumerate(order):
+            perm[old] = new
+        flat = [UNDEF if s[oi][oj] < 0 else perm[s[oi][oj]] for oi in order for oj in order]
+        if best is None or flat < best:
+            best = flat
+    rows = [best[i * n : (i + 1) * n] for i in range(n)]
+    return ek.serialize(EffectAlgebraTable.from_rows(n, 1, rows))
+
+
 def _as_naive_key(canonical_bytes):
     t = ek.parse(canonical_bytes)
     return _naive_canonical(t)
@@ -114,33 +132,38 @@ def test_emitted_tables_are_minimal_and_pairwise_non_isomorphic(n):
     tables = _enumerate_tables(n)
     for t in tables:
         flat = [v for row in t.sum for v in row]
-        assert not _smaller_relabeling_exists(flat, n)
-    assert len({ek.canonical_form(t) for t in tables}) == len(tables)
+        assert _smaller_relabeling(flat, n) is None
+    assert len({_scan_canonical(t) for t in tables}) == len(tables)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_emitted_tables_are_their_own_canonical_form(n):
     for t in _enumerate_tables(n):
-        assert ek.serialize(t) == ek.canonical_form(t)
+        assert ek.serialize(t) == _scan_canonical(t)
+
+
+def _naive_prefix_compare(S, n, order):
+    """-1 if the relabeling order (order[new] = old, fixing 0 and the unit
+    1) makes the decided prefix of S smaller, 1 if larger, 0 if they agree
+    up to the first undecided cell; cells compared one by one as
+    integers."""
+    perm = {old: new for new, old in enumerate(order)}
+    for u, w in product(range(2, n), repeat=2):
+        cur, v = S[u * n + w], S[order[u] * n + order[w]]
+        if UNASSIGNED in (cur, v):
+            return 0
+        pv = v if v < 0 else perm[v]
+        if pv != cur:
+            return -1 if pv < cur else 1
+    return 0
 
 
 def _naive_smaller_prefix(S, n):
-    """Reference for the prefix test: every relabeling fixing 0 and the
-    unit 1, compared cell by cell as integers up to the first undecided
-    cell."""
-    for tail in permutations(range(2, n)):
-        order = (0, 1, *tail)
-        perm = {old: new for new, old in enumerate(order)}
-        for u, w in product(range(2, n), repeat=2):
-            cur, v = S[u * n + w], S[order[u] * n + order[w]]
-            if UNASSIGNED in (cur, v):
-                break
-            pv = v if v < 0 else perm[v]
-            if pv != cur:
-                if pv < cur:
-                    return True
-                break
-    return False
+    """Reference for the prefix test: every relabeling fixing 0 and 1."""
+    return any(
+        _naive_prefix_compare(S, n, (0, 1, *tail)) < 0
+        for tail in permutations(range(2, n))
+    )
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -149,7 +172,7 @@ def test_prefix_test_matches_naive_reference(n):
     # undecided, and with a random half of that suffix decided again
     cells = [(i, j) for i in range(2, n) for j in range(i, n)]
     rng = random.Random(n)
-    cases = 0
+    cases = witnesses = 0
     for t in _enumerate_tables(n, leaf_filter=False):
         full = [v for row in t.sum for v in row]
         for cut in range(len(cells) + 1):
@@ -158,9 +181,19 @@ def test_prefix_test_matches_naive_reference(n):
                 for i, j in cells[cut:]:
                     if (i, j) not in keep:
                         S[i * n + j] = S[j * n + i] = UNASSIGNED
-                assert _smaller_relabeling_exists(S, n) == _naive_smaller_prefix(S, n)
+                got = _smaller_relabeling(S, n)
+                assert (got is not None) == _naive_smaller_prefix(S, n)
+                if got is not None:
+                    # the witness itself makes the decided prefix smaller
+                    assert got[:2] == [0, 1] and sorted(got) == list(range(n))
+                    order = [0] * n
+                    for old, new in enumerate(got):
+                        order[new] = old
+                    assert _naive_prefix_compare(S, n, order) == -1
+                    witnesses += 1
                 cases += 1
     assert cases > 0
+    assert n == 3 or witnesses > 0
 
 
 def test_size4_classes_are_the_named_three():
@@ -203,8 +236,30 @@ def test_known_classes_are_found():
 
 
 def test_leaf_filter_differential():
+    # every labeled table of the unfiltered search, keyed by the scan
     for n in range(2, 8):
-        assert enumerate_all(n, leaf_filter=True) == enumerate_all(n, leaf_filter=False)
+        keys = {_scan_canonical(t) for t in _enumerate_tables(n, leaf_filter=False)}
+        assert sorted(keys) == enumerate_all(n)
+
+
+def test_canonical_form_matches_the_scan():
+    rng = random.Random(20261018)
+    for n in range(2, 9):
+        for key in enumerate_all(n):
+            for _ in range(3):
+                t = relabelled(ek.parse(key), rng)
+                assert ek.canonical_form(t) == _scan_canonical(t) == key
+
+
+@pytest.mark.parametrize("spec", ["hsum:3,4,5", "hsum:4,4,4"])
+def test_canonical_form_invariance_at_size_11(spec):
+    # (n - 2)! = 362,880 relabelings: beyond the scan's reach in a test
+    e = ek.from_spec(spec)
+    assert e.size == 11
+    key = ek.canonical_form(e)
+    rng = random.Random(11)
+    for _ in range(3):
+        assert ek.canonical_form(relabelled(e.table, rng)) == key
 
 
 def test_duplicate_guard_survives_optimize():
