@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error (axiom or hypothesis failure),
-2 I/O, parse or configuration error.  Inputs are file paths, or compact
-constructor specs ("chain:4", "hsum:2,3,3", "prod:chain:2,chain:2",
-"diamond") recognized by their leading constructor name.
+Exit codes: 0 success, 1 domain error (axiom or hypothesis failure, or
+an enumerate size above the cap), 2 I/O, parse or configuration error.
+Inputs are file paths, or compact constructor specs ("chain:4",
+"hsum:2,3,3", "prod:chain:2,chain:2", "diamond") recognized by their
+leading constructor name.
 """
 
 import argparse
@@ -161,23 +162,26 @@ def _parser():
     p = argparse.ArgumentParser(prog="effectkit", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, source_help=None, fmt_choices=("text", "json")):
+    def add(name, source_help=None, fmt_choices=("text", "json"), out_help=None):
         sp = sub.add_parser(name)
         if source_help:
             sp.add_argument("source", help=source_help)
         if fmt_choices:
             sp.add_argument("--format", dest="fmt", choices=fmt_choices,
                             default=fmt_choices[0])
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", default=None, help=out_help)
         return sp
 
     add("validate", "table file or constructor spec", fmt_choices=None)
     add("analyze", "table file or constructor spec")
     add("decompose", "table file or constructor spec")
     add("lemmas", "table file or constructor spec")
-    en = add("enumerate", None, fmt_choices=("tsv", "json"))
-    en.add_argument("--max-size", dest="max_size", type=int, default=6)
-    en.add_argument("--parallel", dest="parallel", type=int, default=1)
+    en = add("enumerate", None, fmt_choices=("tsv", "json"), out_help="output directory")
+    en.add_argument("--max-size", dest="max_size", type=int, default=6,
+                    help=f"largest size (default 6), capped by {ENV_MAX_SIZE} "
+                         f"(default {DEFAULT_MAX_SIZE})")
+    en.add_argument("--parallel", dest="parallel", type=int, default=1,
+                    help="number of worker processes")
     add("generate", "constructor spec", fmt_choices=None)
     add("hasse", "table file or constructor spec", fmt_choices=("dot",))
     return p

@@ -128,6 +128,8 @@ def parse(data):
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.pos) from exc
+    except (RecursionError, ValueError) as exc:  # too deeply nested, too many digits
+        raise ParseError(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"size", "one", "sum"}:
         raise ParseError("expected an object with keys size, one, sum")
     size, one, sum_ = doc["size"], doc["one"], doc["sum"]

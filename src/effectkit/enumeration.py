@@ -8,7 +8,8 @@ storage gives commutativity, per-row value masks give cancellation and
 orthosupplement uniqueness, rows are forced to keep an orthosupplement
 reachable, and associativity (with definedness transfer) is re-checked
 incrementally over the triples a newly decided cell can influence,
-forcing further cells where the triple determines them.
+forcing further cells where the triple determines them.  The partial
+table and the row masks are the whole state; each branch restores both by copy.
 
 Isomorph rejection (Read's orderly method): a table is emitted only if
 it is lexicographically minimal among relabelings of the interior
@@ -71,33 +72,21 @@ def _snapshot(S, n):
 
 def _enumerate_tables(n, first_values=None, leaf_filter=True):
     """All valid tables with unit 1: one canonical labeling per class when
-    leaf_filter is on, every labeled table otherwise."""
+    leaf_filter is on, every labeled table otherwise.  The state is the
+    table S and the row masks used, restored by copy after each branch."""
     one = 1
     S = [UNASSIGNED] * (n * n)
-    used = [0] * n
-    unassigned = [0] * n
+    used = [1 << x for x in range(n)]  # x + 0 = x puts x in row x
     for x in range(n):
         S[x] = x
         S[x * n] = x
-        used[x] |= 1 << x
-    used[0] = (1 << n) - 1
     for x in range(1, n):
         S[one * n + x] = UNDEF
         S[x * n + one] = UNDEF
     cells = [i * n + j for i in range(2, n) for j in range(i, n)]
-    for x in range(2, n):
-        unassigned[x] = n - 2
 
     results = []
-    trail = []
     queue = []
-
-    def find_open(r):
-        base = r * n
-        for c in range(2, n):
-            if S[base + c] == UNASSIGNED:
-                return c
-        raise AssertionError("no open cell in row with positive unassigned count")
 
     def set_cell(i, j, v):
         pos = i * n + j
@@ -105,26 +94,18 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
         if cur != UNASSIGNED:
             return cur == v
         if v != UNDEF:
-            if v == i or v == j or v <= 0:
-                return False
-            if (used[i] >> v) & 1 or (used[j] >> v) & 1:
+            if v <= 0 or ((used[i] | used[j]) >> v) & 1:
                 return False
             used[i] |= 1 << v
-            if i != j:
-                used[j] |= 1 << v
+            used[j] |= 1 << v
         S[pos] = v
         S[j * n + i] = v
-        trail.append(pos)
-        unassigned[i] -= 1
-        if i != j:
-            unassigned[j] -= 1
         queue.append(pos)
         for r in (i,) if i == j else (i, j):
             if not (used[r] >> one) & 1:
-                rem = unassigned[r]
-                if rem == 0:
-                    return False
-                if rem == 1 and not set_cell(r, find_open(r), one):
+                row = S[r * n + 2 : r * n + n]
+                k = row.count(UNASSIGNED)
+                if k == 0 or k == 1 and not set_cell(r, 2 + row.index(UNASSIGNED), one):
                     return False
         return True
 
@@ -177,7 +158,6 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
         return True
 
     last = len(cells)
-    first_domain = None if first_values is None else tuple(first_values)
 
     def dfs(idx):
         while idx < last and S[cells[idx]] != UNASSIGNED:
@@ -191,30 +171,17 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
             return
         pos = cells[idx]
         i, j = divmod(pos, n)
-        if idx == 0 and first_domain is not None:
-            domain = first_domain
+        if idx == 0 and first_values is not None:
+            domain = first_values
         else:
             taken = used[i] | used[j]
             domain = (UNDEF, *(k for k in range(1, n) if not (taken >> k) & 1))
+        saved = S[:], used[:]
         for v in domain:
-            mark = len(trail)
             queue.clear()
             if set_cell(i, j, v) and propagate():
                 dfs(idx + 1)
-            while len(trail) > mark:
-                p = trail.pop()
-                a, b = divmod(p, n)
-                w = S[p]
-                S[p] = UNASSIGNED
-                S[b * n + a] = UNASSIGNED
-                if w >= 0:
-                    used[a] &= ~(1 << w)
-                    if a != b:
-                        used[b] &= ~(1 << w)
-                unassigned[a] += 1
-                if a != b:
-                    unassigned[b] += 1
-        queue.clear()
+            S[:], used[:] = saved
 
     dfs(0)
     return results
@@ -260,6 +227,12 @@ def enumerate_all(n, max_size=None, parallel=1):
     return sorted(keys)
 
 
+def _theorem_holds(e):
+    """The structure theorem's conclusions C2 and C3 both pass on e."""
+    c2, c3 = verify_C2_C3(e)
+    return c2.verdict == PASS and c3.verdict == PASS
+
+
 def survey_row(n, keys):
     """Aggregate the structure-theorem flags over one size's canonical keys."""
     homog = trivial = hyp = verified = 0
@@ -271,9 +244,7 @@ def survey_row(n, keys):
         trivial += t
         if h and t:
             hyp += 1
-            c2, c3 = verify_C2_C3(e)
-            if c2.verdict == PASS and c3.verdict == PASS:
-                verified += 1
+            verified += _theorem_holds(e)
     return SurveyRow(
         size=n,
         total=len(keys),
@@ -322,10 +293,8 @@ def find_counterexample(max_n, max_size=None, parallel=1):
                 non_homog_trivial = e.table
             if non_lattice is None and not e.is_lattice:
                 non_lattice = e.table
-            if theorem is None and h and t:
-                c2, c3 = verify_C2_C3(e)
-                if c2.verdict != PASS or c3.verdict != PASS:
-                    theorem = e.table
+            if theorem is None and h and t and not _theorem_holds(e):
+                theorem = e.table
     return CounterexampleSearch(
         theorem=theorem,
         non_homogeneous=non_homog,

@@ -9,6 +9,13 @@ from effectkit.core import UNDEF
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
+# table files the json module itself cannot read: nesting past the
+# recursion limit, and an integer literal past int()'s digit limit
+HOSTILE_DOCUMENTS = [
+    pytest.param(b"[" * 200_000, id="200000-nested-arrays"),
+    pytest.param(b'{"size":' + b"9" * 5000 + b',"one":1,"sum":[]}', id="5000-digit-size"),
+]
+
 
 def fixture_bytes(name):
     with open(os.path.join(FIXTURES, name), "rb") as fh:

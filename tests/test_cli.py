@@ -11,7 +11,7 @@ from effectkit import cli
 from effectkit.cli import main
 from effectkit.lemmas import SUITE_ORDER, analyze
 
-from conftest import FIXTURES, fixture_bytes
+from conftest import FIXTURES, HOSTILE_DOCUMENTS, fixture_bytes
 
 NON_HOMOG = os.path.join(FIXTURES, "smallest_non_homogeneous_trivial_sharp.json")
 
@@ -45,6 +45,14 @@ def test_validate_parse_failure(tmp_path, capsys):
     path = write_table(tmp_path, "trunc.json", b'{"size":3,"one":2,')
     assert main(["validate", path]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("data", HOSTILE_DOCUMENTS)
+def test_validate_unreadable_json_is_one_parse_error(tmp_path, capsys, data):
+    path = write_table(tmp_path, "hostile.json", data)
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error")
 
 
 def test_analyze_text(capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import effectkit as ek
 from effectkit.corpus import ParseError, SpecError, from_spec, is_spec_string, parse, serialize
 
-from conftest import chain_multisets, fixture_bytes
+from conftest import HOSTILE_DOCUMENTS, chain_multisets, fixture_bytes
 
 
 def test_chain_validates_for_all_small_lengths():
@@ -122,6 +122,7 @@ def test_parse_accepts_insignificant_whitespace():
         b'{"size":3,"one":2,"sum":[[0,1,2],[1,2,-1],[2,-1,-2]]}',
         b'{"size":3,"one":2,"sum":[[0,1,2],[1,2,-1],[2,-1,3]]}',
         b'{"size":3,"one":2,"sum":[[0,1,2],[1,2,-1],[2,-1,true]]}',
+        *HOSTILE_DOCUMENTS,
     ],
 )
 def test_parse_rejects_bad_documents(data):

@@ -29,6 +29,10 @@ GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
 # sha256 of the concatenated keys of sizes 2..8 and 2..9
 KEYS_SHA256_TO_8 = "24ae786e1883e3ea88f250f5e6bfd575c37d57f2f82bde18efa4da28e7e9f712"
 KEYS_SHA256_TO_9 = "1bdb445ee3926590f744d2eb627f21758670af8dbb027dc4d3c57849693d354d"
+# calls of the prefix test in a serial search, one per node reached: the
+# search's cuts, which a change to propagation or pruning moves
+PREFIX_TESTS = {2: 1, 3: 2, 4: 7, 5: 25, 6: 102, 7: 268, 8: 839}
+PREFIX_TESTS_AT_9 = 2105
 
 
 def brute_force_classes(n):
@@ -117,8 +121,28 @@ def test_key_bytes_sizes_2_to_8_are_pinned():
     assert _keys_sha256(enumerate_all(n) for n in range(2, 9)) == KEYS_SHA256_TO_8
 
 
-def test_size_9_count_and_hypothesis_class():
-    keys = enumerate_all(9)
+def _counted_enumeration(monkeypatch, n):
+    """enumerate_all(n) run serially, and the number of prefix tests made."""
+    real = en._smaller_relabeling
+    calls = 0
+
+    def counting(S, m):
+        nonlocal calls
+        calls += 1
+        return real(S, m)
+
+    monkeypatch.setattr(en, "_smaller_relabeling", counting)
+    return enumerate_all(n), calls
+
+
+@pytest.mark.parametrize("n,count", sorted(PREFIX_TESTS.items()))
+def test_prefix_test_counts_are_pinned(monkeypatch, n, count):
+    assert _counted_enumeration(monkeypatch, n)[1] == count
+
+
+def test_size_9_count_and_hypothesis_class(monkeypatch):
+    keys, prefix_tests = _counted_enumeration(monkeypatch, 9)
+    assert prefix_tests == PREFIX_TESTS_AT_9
     assert len(keys) == 60
     row = survey_row(9, keys)
     assert row.hypothesis_class == 15 == sum(1 for _ in partitions(7))
