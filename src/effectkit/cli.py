@@ -50,7 +50,7 @@ def _emit(text, out_path):
 
 def cmd_validate(args):
     _load(args.source)
-    print("valid")
+    _emit("valid\n", args.out)
     return EXIT_OK
 
 

@@ -18,9 +18,12 @@ MAX_SIZE = 256
 
 
 class ParseError(Exception):
-    def __init__(self, message, offset=0):
+    """offset is the byte offset of a JSON syntax error, None for errors
+    about the document's content, where no offset is known."""
+
+    def __init__(self, message, offset=None):
         self.offset = offset
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
 
 
 class SpecError(ValueError):

@@ -23,6 +23,18 @@ canonical_form descends by the same test, so an emitted table is its own
 canonical form and is keyed by its serialization.  The tests compare the
 keys with every labeled table of the unfiltered search keyed by an
 independent scan over all relabelings.
+
+The test is carried down the search rather than started afresh at every
+node.  Each node resumes its parent's live states, the partial
+relabelings whose comparison stopped undecided at some cell, and passes
+the states still live to all of its branches; the root starts from the
+relabeling that fixes only 0 and 1.  A state whose stop cell is still
+undecided, in the table or in its relabeling, is passed on as it is,
+which is most of them.  A decided cell never changes in a subtree, so a
+relabeling proved larger stays larger, one proved smaller cuts the node,
+and a stopped comparison goes on exactly where a fresh start would reach
+it: the cuts, and so the nodes and the emitted tables, are those of a
+test from scratch at every node.
 """
 
 import os
@@ -32,7 +44,7 @@ from dataclasses import dataclass
 from .core import UNDEF, EffectAlgebraTable, validate
 from .corpus import parse, serialize
 from .lemmas import PASS, has_trivial_sharps, is_homogeneous
-from .structure import UNASSIGNED, _smaller_relabeling, verify_C2_C3
+from .structure import UNASSIGNED, _resume_relabelings, _root_states, verify_C2_C3
 
 DEFAULT_MAX_SIZE = 10
 
@@ -73,7 +85,8 @@ def _snapshot(S, n):
 def _enumerate_tables(n, first_values=None, leaf_filter=True):
     """All valid tables with unit 1: one canonical labeling per class when
     leaf_filter is on, every labeled table otherwise.  The state is the
-    table S and the row masks used, restored by copy after each branch."""
+    table S and the row masks used, restored by copy after each branch,
+    and the live relabelings of the prefix test, a new list per node."""
     one = 1
     S = [UNASSIGNED] * (n * n)
     used = [1 << x for x in range(n)]  # x + 0 = x puts x in row x
@@ -159,13 +172,16 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
 
     last = len(cells)
 
-    def dfs(idx):
+    def dfs(idx, states):
         while idx < last and S[cells[idx]] != UNASSIGNED:
             idx += 1
         # no completion of a prefix that some relabeling makes smaller is
-        # minimal; at the leaf this is the full minimality test
-        if leaf_filter and _smaller_relabeling(S, n) is not None:
-            return
+        # minimal; at the leaf this is the full minimality test.  The
+        # parent's live states are shared by its branches, never mutated.
+        if leaf_filter:
+            witness, states = _resume_relabelings(S, n, states)
+            if witness is not None:
+                return
         if idx == last:
             results.append(_snapshot(S, n))
             return
@@ -180,10 +196,10 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
         for v in domain:
             queue.clear()
             if set_cell(i, j, v) and propagate():
-                dfs(idx + 1)
+                dfs(idx + 1, states)
             S[:], used[:] = saved
 
-    dfs(0)
+    dfs(0, _root_states(n))
     return results
 
 

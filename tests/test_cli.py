@@ -32,6 +32,13 @@ def test_validate_spec_string(capsys):
     assert main(["validate", "chain:3"]) == 0
 
 
+def test_validate_writes_out_file(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    assert main(["validate", "chain:3", "--out", str(out)]) == 0
+    assert out.read_text() == "valid\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_validate_axiom_failure(tmp_path, capsys):
     bad = b'{"size":4,"one":3,"sum":[[0,1,2,3],[1,3,3,-1],[2,3,-1,-1],[3,-1,-1,-1]]}'
     path = write_table(tmp_path, "bad.json", bad)

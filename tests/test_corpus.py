@@ -134,6 +134,14 @@ def test_parse_error_offset_for_malformed_json():
     with pytest.raises(ParseError) as exc:
         parse(b'{"size":3,"one":2,"sum":')
     assert exc.value.offset == 24
+    assert str(exc.value).endswith("(byte offset 24)")
+
+
+def test_content_error_has_no_byte_offset():
+    with pytest.raises(ParseError) as exc:
+        parse(b'{"size":1,"one":0,"sum":[[0]]}')
+    assert exc.value.offset is None
+    assert str(exc.value) == "size must be an integer >= 2"
 
 
 def test_parse_does_not_check_axioms():

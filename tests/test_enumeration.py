@@ -21,7 +21,9 @@ from effectkit.enumeration import (
     write_enumeration,
 )
 from effectkit.lemmas import has_trivial_sharps, is_homogeneous
-from effectkit.structure import UNASSIGNED, _smaller_relabeling
+from effectkit.structure import (
+    UNASSIGNED, _resume_relabelings, _root_states, _smaller_relabeling
+)
 
 from conftest import chain_multisets, partitions, relabelled
 
@@ -29,10 +31,13 @@ GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
 # sha256 of the concatenated keys of sizes 2..8 and 2..9
 KEYS_SHA256_TO_8 = "24ae786e1883e3ea88f250f5e6bfd575c37d57f2f82bde18efa4da28e7e9f712"
 KEYS_SHA256_TO_9 = "1bdb445ee3926590f744d2eb627f21758670af8dbb027dc4d3c57849693d354d"
+# sha256 of the concatenated keys of size 10 alone
+KEYS_SHA256_AT_10 = "267e597e9ce5fe350e4570e53b365fc46ef21d7ba393db2654080391edcbdee2"
 # calls of the prefix test in a serial search, one per node reached: the
 # search's cuts, which a change to propagation or pruning moves
 PREFIX_TESTS = {2: 1, 3: 2, 4: 7, 5: 25, 6: 102, 7: 268, 8: 839}
 PREFIX_TESTS_AT_9 = 2105
+PREFIX_TESTS_AT_10 = 6118
 
 
 def brute_force_classes(n):
@@ -123,15 +128,15 @@ def test_key_bytes_sizes_2_to_8_are_pinned():
 
 def _counted_enumeration(monkeypatch, n):
     """enumerate_all(n) run serially, and the number of prefix tests made."""
-    real = en._smaller_relabeling
+    real = en._resume_relabelings
     calls = 0
 
-    def counting(S, m):
+    def counting(S, m, states):
         nonlocal calls
         calls += 1
-        return real(S, m)
+        return real(S, m, states)
 
-    monkeypatch.setattr(en, "_smaller_relabeling", counting)
+    monkeypatch.setattr(en, "_resume_relabelings", counting)
     return enumerate_all(n), calls
 
 
@@ -149,6 +154,37 @@ def test_size_9_count_and_hypothesis_class(monkeypatch):
     assert row.counterexamples == 0
     smaller = [enumerate_all(n) for n in range(2, 9)]
     assert _keys_sha256([*smaller, keys]) == KEYS_SHA256_TO_9
+
+
+def test_size_10_count_and_hypothesis_class(monkeypatch):
+    keys, prefix_tests = _counted_enumeration(monkeypatch, 10)
+    assert prefix_tests == PREFIX_TESTS_AT_10
+    assert len(keys) == 172
+    assert _keys_sha256([keys]) == KEYS_SHA256_AT_10
+    row = survey_row(10, keys)
+    assert row.as_tsv() == "10\t172\t64\t81\t22\t22\t0"
+    assert row.hypothesis_class == sum(1 for _ in partitions(8))
+    monkeypatch.undo()
+    assert enumerate_all(10, parallel=2) == keys
+
+
+def test_carried_states_equal_a_start_from_the_root_at_size_7(monkeypatch):
+    # at every node of the search, resuming the parent's live states gives
+    # the same verdict and the same live states as starting afresh
+    real = en._resume_relabelings
+    nodes = 0
+
+    def checked(S, m, states):
+        nonlocal nodes
+        nodes += 1
+        got = real(S, m, states)
+        assert got == real(S, m, _root_states(m))
+        assert (got[0] is None) == (_smaller_relabeling(S, m) is None)
+        return got
+
+    monkeypatch.setattr(en, "_resume_relabelings", checked)
+    assert len(enumerate_all(7)) == GOLDEN_COUNTS[7]
+    assert nodes == PREFIX_TESTS[7]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -208,15 +244,55 @@ def test_prefix_test_matches_naive_reference(n):
                 got = _smaller_relabeling(S, n)
                 assert (got is not None) == _naive_smaller_prefix(S, n)
                 if got is not None:
-                    # the witness itself makes the decided prefix smaller
-                    assert got[:2] == [0, 1] and sorted(got) == list(range(n))
-                    order = [0] * n
-                    for old, new in enumerate(got):
-                        order[new] = old
-                    assert _naive_prefix_compare(S, n, order) == -1
+                    _assert_witness(S, n, got)
                     witnesses += 1
                 cases += 1
     assert cases > 0
+    assert n == 3 or witnesses > 0
+
+
+def _assert_witness(S, n, perm):
+    """perm is a relabeling fixing 0 and 1 that makes the decided prefix
+    of S smaller."""
+    assert perm[:2] == [0, 1] and sorted(perm) == list(range(n))
+    order = [0] * n
+    for old, new in enumerate(perm):
+        order[new] = old
+    assert _naive_prefix_compare(S, n, order) == -1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_carried_states_match_naive_reference(n):
+    # one chain of nested partial tables per labeled table, as a branch of
+    # the search meets them: the cells are decided in the search's order,
+    # a random third of them earlier, as propagation decides them.  The
+    # live states are carried from each table to the next.
+    cells = [(i, j) for i in range(2, n) for j in range(i, n)]
+    rng = random.Random(100 + n)
+    steps = witnesses = 0
+    for t in _enumerate_tables(n, leaf_filter=False):
+        full = [v for row in t.sum for v in row]
+        decided_at = [
+            rng.randint(0, k) if rng.random() < 1 / 3 else k for k in range(len(cells))
+        ]
+        states = _root_states(n)
+        for step in range(len(cells) + 1):
+            S = list(full)
+            for (i, j), k in zip(cells, decided_at):
+                if k >= step:
+                    S[i * n + j] = S[j * n + i] = UNASSIGNED
+            got, states = _resume_relabelings(S, n, states)
+            assert (got is not None) == _naive_smaller_prefix(S, n)
+            steps += 1
+            if got is not None:
+                # the search cuts here: nothing below is reached
+                _assert_witness(S, n, got)
+                witnesses += 1
+                break
+        else:
+            # S is complete: every comparison has reached a verdict
+            assert states == []
+    assert steps > 0
     assert n == 3 or witnesses > 0
 
 
