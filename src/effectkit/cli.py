@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (axiom or hypothesis failure, or
-an enumerate size above the cap), 2 I/O, parse or configuration error.
+an enumerate size below 2 or above the cap), 2 I/O, parse or
+configuration error.
 Inputs are file paths, or compact constructor specs ("chain:4",
 "hsum:2,3,3", "prod:chain:2,chain:2", "diamond") recognized by their
 leading constructor name.
@@ -18,7 +19,7 @@ from .corpus import ParseError, SpecError, from_spec, is_spec_string, parse, ser
 from .enumeration import (
     DEFAULT_MAX_SIZE,
     SURVEY_COLUMNS,
-    SizeTooLarge,
+    SizeError,
     survey,
     write_enumeration,
 )
@@ -181,7 +182,10 @@ def _parser():
                     help=f"largest size (default 6), capped by {ENV_MAX_SIZE} "
                          f"(default {DEFAULT_MAX_SIZE})")
     en.add_argument("--parallel", dest="parallel", type=int, default=1,
-                    help="number of worker processes")
+                    help="worker processes: one pool for the whole command, "
+                         "fed the first-cell (2, 2) values of every size and "
+                         "merged in size order; output is identical for every "
+                         "value (default 1, no pool)")
     add("generate", "constructor spec", fmt_choices=None)
     add("hasse", "table file or constructor spec", fmt_choices=("dot",))
     return p
@@ -205,7 +209,7 @@ def main(argv=None):
     except DecomposeError as exc:
         print(f"decompose error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except SizeTooLarge as exc:
+    except SizeError as exc:
         print(f"size error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -35,11 +35,22 @@ relabeling proved larger stays larger, one proved smaller cuts the node,
 and a stopped comparison goes on exactly where a fresh start would reach
 it: the cuts, and so the nodes and the emitted tables, are those of a
 test from scratch at every node.
+
+Parallel runs: one pool of worker processes serves a whole command, every
+size of it.  Its tasks are the searches below each value of the first
+cell (2, 2) (undefined, 1, 3, ..., n - 1) of every size n >= 3, and the
+whole search of size 2.  All tasks are queued at once in size order and
+their results are read back in that order, so the parent surveys or
+writes size n while the workers search the sizes after it.  Each size's
+keys are merged and sorted, so the output is identical for every
+--parallel.  A serial run searches each size whole, with no pool.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
+from itertools import islice
+from multiprocessing import Pool
 
 from .core import UNDEF, EffectAlgebraTable, validate
 from .corpus import parse, serialize
@@ -59,7 +70,11 @@ SURVEY_COLUMNS = (
 )
 
 
-class SizeTooLarge(ValueError):
+class SizeError(ValueError):
+    pass
+
+
+class SizeTooLarge(SizeError):
     pass
 
 
@@ -208,39 +223,60 @@ def _enumeration_worker(args):
     return [serialize(t) for t in _enumerate_tables(n, values)]
 
 
-def _check_cap(n, max_size):
+def _check_sizes(max_n, max_size):
+    if max_n < 2:
+        raise SizeError(
+            f"size {max_n} below 2: effect algebras have at least two elements")
     cap = DEFAULT_MAX_SIZE if max_size is None else max_size
-    if n > cap:
-        raise SizeTooLarge(f"size {n} above configured cap {cap}")
+    if max_n > cap:
+        raise SizeTooLarge(f"size {max_n} above configured cap {cap}")
+
+
+def _first_cell_tasks(n):
+    """Size n's search split on the values of its first cell (2, 2)."""
+    if n == 2:
+        return [(n, None)]
+    return [(n, (v,)) for v in (UNDEF, 1, *range(3, n))]
+
+
+def _enumerate_sizes(sizes, parallel):
+    """Yield (n, sorted canonical keys) for each n of sizes, in order.
+
+    With more than one worker, one pool of min(parallel, tasks of the
+    largest size) processes searches the first-cell tasks of every size;
+    otherwise each size is searched whole in this process.  Leaving the
+    pool's block, also by close() or an exception, terminates its workers
+    without waiting for sizes no longer needed.
+
+    The duplicate guard catches the same labeled table emitted twice, for
+    example by overlapping tasks.  It cannot catch a faulty minimality
+    test, whose extra leaves are distinct labeled tables.  The tests catch
+    that: the golden counts, test_emitted_tables_are_their_own_canonical_form,
+    the sha256 pins of the keys and the filter-off differential test."""
+    sizes = list(sizes)
+    per_size = [_first_cell_tasks(n) for n in sizes]
+    workers = min(parallel, max(map(len, per_size)))
+    if workers <= 1:
+        per_size = [[(n, None)] for n in sizes]
+    tasks = [task for size_tasks in per_size for task in size_tasks]
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.imap if pool else map)(_enumeration_worker, tasks)
+        for n, size_tasks in zip(sizes, per_size):
+            parts = list(islice(results, len(size_tasks)))
+            keys = set().union(*parts)
+            if len(keys) != sum(map(len, parts)):
+                raise AssertionError("search emitted the same labeled table twice")
+            yield n, sorted(keys)
 
 
 def enumerate_all(n, max_size=None, parallel=1):
     """Canonical keys of every isomorphism class of size-n effect algebras,
-    sorted; deterministic including under parallel partitioning.  The
-    search emits canonical labelings, so each key is the serialization of
-    an emitted table and no canonical_form is called.
-
-    The duplicate guard catches the same labeled table emitted twice, for
-    example by overlapping parallel chunks.  It cannot catch a faulty
-    minimality test, whose extra leaves are distinct labeled tables.  The
-    tests catch that: the golden counts,
-    test_emitted_tables_are_their_own_canonical_form, the sha256 pins of
-    the keys and the filter-off differential test."""
-    if n < 2:
-        raise ValueError("effect algebras have at least two elements")
-    _check_cap(n, max_size)
-    if parallel > 1 and n >= 3:
-        domain = (UNDEF, 1, *range(3, n))  # choices for the first cell (2, 2)
-        chunks = [domain[k::parallel] for k in range(parallel)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_enumeration_worker, [(n, c) for c in chunks]))
-    else:
-        parts = [_enumeration_worker((n, None))]
-    keys = set().union(*parts)
-    if len(keys) != sum(map(len, parts)):
-        raise AssertionError("search emitted the same labeled table twice")
-    return sorted(keys)
+    sorted; deterministic under any parallel.  The search emits canonical
+    labelings, so each key is the serialization of an emitted table and no
+    canonical_form is called."""
+    _check_sizes(n, max_size)
+    ((_, keys),) = _enumerate_sizes([n], parallel)
+    return keys
 
 
 def _theorem_holds(e):
@@ -274,11 +310,9 @@ def survey_row(n, keys):
 
 def survey(max_n, max_size=None, parallel=1):
     """One row per size 2..max_n aggregating the structure-theorem flags."""
-    _check_cap(max_n, max_size)
-    return [
-        survey_row(n, enumerate_all(n, max_size=max_size, parallel=parallel))
-        for n in range(2, max_n + 1)
-    ]
+    _check_sizes(max_n, max_size)
+    with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
+        return [survey_row(n, keys) for n, keys in sizes]
 
 
 @dataclass(frozen=True)
@@ -294,23 +328,24 @@ class CounterexampleSearch:
 def find_counterexample(max_n, max_size=None, parallel=1):
     """Search sizes 2..max_n for a theorem counterexample (none expected) and
     for the smallest non-homogeneous / non-lattice fixtures."""
-    _check_cap(max_n, max_size)
+    _check_sizes(max_n, max_size)
     theorem = non_homog = non_homog_trivial = non_lattice = None
-    for n in range(2, max_n + 1):
-        if theorem and non_homog and non_homog_trivial and non_lattice:
-            break
-        for key in enumerate_all(n, max_size=max_size, parallel=parallel):
-            e = validate(parse(key))
-            h = is_homogeneous(e)
-            t = has_trivial_sharps(e)
-            if non_homog is None and not h:
-                non_homog = e.table
-            if non_homog_trivial is None and not h and t:
-                non_homog_trivial = e.table
-            if non_lattice is None and not e.is_lattice:
-                non_lattice = e.table
-            if theorem is None and h and t and not _theorem_holds(e):
-                theorem = e.table
+    with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
+        for _, keys in sizes:
+            for key in keys:
+                e = validate(parse(key))
+                h = is_homogeneous(e)
+                t = has_trivial_sharps(e)
+                if non_homog is None and not h:
+                    non_homog = e.table
+                if non_homog_trivial is None and not h and t:
+                    non_homog_trivial = e.table
+                if non_lattice is None and not e.is_lattice:
+                    non_lattice = e.table
+                if theorem is None and h and t and not _theorem_holds(e):
+                    theorem = e.table
+            if theorem and non_homog and non_homog_trivial and non_lattice:
+                break
     return CounterexampleSearch(
         theorem=theorem,
         non_homogeneous=non_homog,
@@ -321,17 +356,17 @@ def find_counterexample(max_n, max_size=None, parallel=1):
 
 def write_enumeration(out_dir, max_n, max_size=None, parallel=1):
     """Persist canonical tables plus survey.tsv under out_dir; returns rows."""
-    _check_cap(max_n, max_size)
+    _check_sizes(max_n, max_size)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for n in range(2, max_n + 1):
-        keys = enumerate_all(n, max_size=max_size, parallel=parallel)
-        size_dir = os.path.join(out_dir, f"size_{n}")
-        os.makedirs(size_dir, exist_ok=True)
-        for idx, key in enumerate(keys):
-            with open(os.path.join(size_dir, f"{idx:04d}.json"), "wb") as fh:
-                fh.write(key)
-        rows.append(survey_row(n, keys))
+    with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
+        for n, keys in sizes:
+            size_dir = os.path.join(out_dir, f"size_{n}")
+            os.makedirs(size_dir, exist_ok=True)
+            for idx, key in enumerate(keys):
+                with open(os.path.join(size_dir, f"{idx:04d}.json"), "wb") as fh:
+                    fh.write(key)
+            rows.append(survey_row(n, keys))
     with open(os.path.join(out_dir, "survey.tsv"), "w", encoding="ascii") as fh:
         fh.write("\t".join(SURVEY_COLUMNS) + "\n")
         for row in rows:

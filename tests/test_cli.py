@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -156,16 +157,32 @@ def test_enumerate_json(capsys):
     assert doc[-1]["total"] == 1
 
 
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def test_enumerate_out_dir_and_parallel_determinism(tmp_path, capsys):
-    a, b = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["enumerate", "--max-size", "5", "--out", str(a)]) == 0
-    capsys.readouterr()
-    assert main(["enumerate", "--max-size", "5", "--out", str(b), "--parallel", "2"]) == 0
-    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-    assert files_a == files_b
-    for rel in files_a:
-        assert (a / rel).read_bytes() == (b / rel).read_bytes()
+    runs = []
+    for parallel in ("1", "2", "3", "4"):
+        out = tmp_path / f"p{parallel}"
+        argv = ["enumerate", "--max-size", "8", "--out", str(out)]
+        assert main([*argv, "--parallel", parallel]) == 0
+        runs.append((capsys.readouterr().out, _tree(out)))
+        assert not multiprocessing.active_children()
+    assert len(runs[0][1]) == 1 + sum((1, 1, 3, 4, 10, 14, 40))
+    assert all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("size", ["1", "0", "-3"])
+def test_enumerate_size_below_2_is_a_size_error(tmp_path, capsys, size):
+    out = tmp_path / "results"
+    assert main(["enumerate", "--max-size", size, "--out", str(out)]) == 1
+    assert main(["enumerate", "--max-size", size]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2 and all(line.startswith("size error: ") for line in err)
+    assert not out.exists()
 
 
 def test_enumerate_env_cap(capsys, monkeypatch):

@@ -1,8 +1,11 @@
 import hashlib
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import time
+from contextlib import closing
 from itertools import permutations, product
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 
 import effectkit as ek
 import effectkit.enumeration as en
+from effectkit.cli import main
 from effectkit.core import UNDEF, EffectAlgebraTable, ValidationError, validate
 from effectkit.enumeration import (
     SizeTooLarge,
@@ -396,19 +400,111 @@ def test_size_cap():
 
 
 def test_size_cap_is_checked_before_any_work(tmp_path, monkeypatch):
+    # neither the search nor a pool starts before the sizes are checked
     def no_work(*args, **kwargs):
         raise AssertionError("enumerated before checking the cap")
 
-    monkeypatch.setattr(en, "enumerate_all", no_work)
+    monkeypatch.setattr(en, "_enumerate_sizes", no_work)
+    monkeypatch.setattr(en, "Pool", no_work)
     out = tmp_path / "results"
-    for run in (
-        lambda: survey(5, max_size=4),
-        lambda: find_counterexample(5, max_size=4),
-        lambda: write_enumeration(str(out), 5, max_size=4),
-    ):
-        with pytest.raises(SizeTooLarge):
-            run()
+    for max_n, max_size, error in ((5, 4, SizeTooLarge), (1, None, ValueError),
+                                   (0, None, ValueError), (-3, None, ValueError)):
+        for run in (
+            lambda: survey(max_n, max_size=max_size, parallel=2),
+            lambda: find_counterexample(max_n, max_size=max_size, parallel=2),
+            lambda: write_enumeration(str(out), max_n, max_size=max_size, parallel=2),
+        ):
+            with pytest.raises(error):
+                run()
     assert not out.exists()
+
+
+def test_shared_pool_matches_serial():
+    serial = survey(8)
+    assert survey(8, parallel=2) == serial
+    assert not multiprocessing.active_children()
+    assert survey(8, parallel=3) == serial
+    assert not multiprocessing.active_children()
+    assert find_counterexample(8, parallel=2) == find_counterexample(8)
+    assert not multiprocessing.active_children()
+
+
+def test_early_exit_terminates_the_pool_at_once():
+    # sizes 9 and 10 are still queued or running when the consumer leaves
+    t0 = time.perf_counter()
+    with closing(en._enumerate_sizes(range(2, 11), 2)) as sizes:
+        for n, keys in sizes:
+            if n == 6:
+                break
+    assert time.perf_counter() - t0 < 0.5
+    assert not multiprocessing.active_children()
+
+
+def test_consumer_error_terminates_the_pool(monkeypatch):
+    real = en.survey_row
+
+    def failing(n, keys):
+        if n == 6:
+            raise RuntimeError("survey failed")
+        return real(n, keys)
+
+    monkeypatch.setattr(en, "survey_row", failing)
+    t0 = time.perf_counter()
+    # the traceback held in info keeps survey's frames alive, so only an
+    # explicit close, not garbage collection, can have ended the pool
+    with pytest.raises(RuntimeError, match="survey failed") as info:
+        survey(10, parallel=2)
+    assert time.perf_counter() - t0 < 0.5
+    assert not multiprocessing.active_children()
+
+
+def test_worker_error_terminates_the_pool(monkeypatch):
+    # forked workers inherit the patched search
+    def failing(n, first_values=None, leaf_filter=True):
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(en, "_enumerate_tables", failing)
+    with pytest.raises(RuntimeError, match="search failed"):
+        enumerate_all(6, parallel=2)
+    assert not multiprocessing.active_children()
+
+
+def test_duplicate_guard_with_a_pool(monkeypatch):
+    # every task's keys collide, as in test_duplicate_guard_survives_optimize
+    monkeypatch.setattr(en, "serialize", lambda t: b"same")
+    with pytest.raises(AssertionError, match="same labeled table twice"):
+        enumerate_all(6, parallel=2)
+    assert not multiprocessing.active_children()
+
+
+def test_workers_are_capped_by_the_largest_size(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        """Records the worker count asked for and runs the tasks in this
+        process, so no worker is started."""
+
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(en, "Pool", RecordingPool)
+    assert main(["enumerate", "--max-size", "5", "--parallel", "1000000"]) == 0
+    assert requested == [4]
+    # size 2 alone is one task: no pool at all
+    assert main(["enumerate", "--max-size", "2", "--parallel", "1000000"]) == 0
+    assert requested == [4]
+    assert survey(5, parallel=3) == survey(5)
+    assert requested == [4, 3]
+    assert not multiprocessing.active_children()
 
 
 def test_survey_rows():
