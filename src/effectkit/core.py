@@ -8,8 +8,11 @@ always the zero element, the unit index is explicit.
 
 validate() turns a table into a CheckedEffectAlgebra or raises a
 ValidationError whose witness verify_validation_witness() re-checks.  A
-CheckedEffectAlgebra computes each derived property once, on first use,
-and keeps it: sharp_set, is_lattice and homogeneity_witness.
+CheckedEffectAlgebra keeps the index by_sum that validate builds, the
+defined cells grouped by their sum, which the associativity scan,
+homogeneity and L22 read so that each visits only the cells that can
+matter.  It computes each derived property once, on first use, and keeps
+it: sharp_set, is_lattice and homogeneity_witness.
 """
 
 from dataclasses import dataclass
@@ -71,6 +74,7 @@ class EffectAlgebraTable:
 class CheckedEffectAlgebra:
     """A validated algebra with its derived order, orthosupplement and atoms.
 
+    by_sum, built once by validate, indexes the defined cells by their sum.
     The derived properties sharp_set, is_lattice and homogeneity_witness are
     cached: each is computed on first use and then read, so it is computed
     at most once per algebra.  Otherwise immutable after validation; safe to
@@ -81,6 +85,7 @@ class CheckedEffectAlgebra:
     leq: tuple        # leq[x][y] iff some c has x + c = y
     ortho: tuple      # ortho[x] is the unique x' with x + x' = 1
     atoms: tuple      # minimal nonzero elements, ascending
+    by_sum: tuple     # by_sum[t]: the cells (x, y) with x + y = t, row-major
 
     @property
     def size(self):
@@ -181,32 +186,34 @@ class CheckedEffectAlgebra:
 
         Homogeneity: whenever u <= v1 + v2 <= u' (the sum defined), u splits
         as u1 + u2 with u1 <= v1 and u2 <= v2.  Only u <= u' can fail.  For
-        such a u, bit k of m1[v1] (m2[v2]) marks the splits u1 + u2 = u with
-        u1 <= v1 (u2 <= v2), and a defined cell (v1, v2) whose sum lies in
-        [u, u'] fails iff m1[v1] & m2[v2] == 0.  Defined cells are scanned in
-        row-major order, so the first failure is the lexicographic one.
+        such a u, bit k of m1[v1] (m2[v2]) marks the k-th split u1 + u2 = u
+        in by_sum[u] with u1 <= v1 (u2 <= v2), and a defined cell (v1, v2)
+        whose sum lies in [u, u'] fails iff m1[v1] & m2[v2] == 0.  Only the
+        cells of by_sum[t] for t in [u, u'] are scanned, one sum at a time,
+        so the least failing cell over those sums is the lexicographic one.
         """
-        n, s, leq, ortho = self.size, self.table.sum, self.leq, self.ortho
-        cells = [(v1, v2, t) for v1 in range(n) for v2, t in enumerate(s[v1]) if t != UNDEF]
-        splits = [[] for _ in range(n)]
-        for u1, u2, u in cells:
-            splits[u].append((u1, u2))
+        n, leq, ortho, by_sum = self.size, self.leq, self.ortho, self.by_sum
         for u in range(n):
             up, leq_u = ortho[u], leq[u]
             if not leq_u[up]:
                 continue
-            leq_up = [row[up] for row in leq]
             m1, m2 = [0] * n, [0] * n
-            for k, (u1, u2) in enumerate(splits[u]):
+            for k, (u1, u2) in enumerate(by_sum[u]):
                 bit = 1 << k
                 for v, (a, b) in enumerate(zip(leq[u1], leq[u2])):
                     if a:
                         m1[v] |= bit
                     if b:
                         m2[v] |= bit
-            for v1, v2, t in cells:
-                if leq_u[t] and leq_up[t] and not m1[v1] & m2[v2]:
-                    return HomogeneityWitness(u, v1, v2)
+            fails = []  # the first failing cell of each sum in [u, u']
+            for t in range(n):
+                if leq_u[t] and leq[t][up]:
+                    for v1, v2 in by_sum[t]:
+                        if not m1[v1] & m2[v2]:
+                            fails.append((v1, v2))
+                            break
+            if fails:
+                return HomogeneityWitness(u, *min(fails))
         return None
 
     def hasse_covers(self):
@@ -291,6 +298,16 @@ def verify_validation_witness(table, err):
     return False
 
 
+def _cells_by_sum(table):
+    """by_sum[t]: the cells (x, y) with x + y = t, in row-major order."""
+    by_sum = [[] for _ in range(table.size)]
+    for x, row in enumerate(table.sum):
+        for y, t in enumerate(row):
+            if t != UNDEF:
+                by_sum[t].append((x, y))
+    return tuple(tuple(cells) for cells in by_sum)
+
+
 def validate(table):
     """Check the effect-algebra axioms and derive order, ortho map and atoms.
 
@@ -300,12 +317,12 @@ def validate(table):
     orthosupplements (OrthoMissing / OrthoNotUnique), and associativity in
     both directions including definedness transfer (NotAssociative).  The
     first violation in lexicographic scan order is raised.  The
-    associativity scan visits only the defined cells (b, c) of each row, in
-    the unchanged (a, b, c) order, so its first witness is that of a scan
-    over all n**3 triples.  Cancellation,
-    positivity and an involutive orthosupplement follow from the axioms;
-    they are re-checked last, and a breach raises AssertionError, which
-    marks a bug in the checks above.
+    associativity scan visits only the triples whose a + (b + c) is
+    defined, reached through by_sum; it raises the least failing (b, c) of
+    the least failing a, the first witness of a scan over all n**3 triples.
+    Cancellation, positivity and an involutive orthosupplement follow from
+    the axioms; they are re-checked last, and a breach raises
+    AssertionError, which marks a bug in the checks above.
     """
     _check_shape(table)
     n, one, s = table.size, table.one, table.sum
@@ -336,17 +353,24 @@ def validate(table):
 
     # One direction over all ordered triples covers both readings of
     # associativity, given commutativity was verified above: a + (b + c)
-    # defined forces (a + b) + c defined and equal.
-    defined = [[(c, bc) for c, bc in enumerate(s[b]) if bc != UNDEF] for b in range(n)]
+    # defined forces (a + b) + c defined and equal.  Only triples with
+    # a + (b + c) defined can fail, so each a walks its defined sums a + x
+    # and the cells (b, c) of x.  That walk goes by x, not by (b, c), so the
+    # least of each x's first failing cell is the lexicographic one.
+    by_sum = _cells_by_sum(table)
     for a in range(n):
         row_a = s[a]
-        for b in range(n):
-            ab = row_a[b]
-            row_ab = None if ab == UNDEF else s[ab]
-            for c, bc in defined[b]:
-                a_bc = row_a[bc]
-                if a_bc != UNDEF and (row_ab is None or row_ab[c] != a_bc):
-                    raise ValidationError("NotAssociative", (a, b, c))
+        fails = []  # the first failing cell (b, c) of each sum x
+        for x, a_x in enumerate(row_a):
+            if a_x == UNDEF:
+                continue
+            for b, c in by_sum[x]:
+                ab = row_a[b]
+                if ab == UNDEF or s[ab][c] != a_x:
+                    fails.append((b, c))
+                    break
+        if fails:
+            raise ValidationError("NotAssociative", (a, *min(fails)))
 
     # leq[x][y] iff some c has x + c = y: mark each row's defined sums.
     leq = []
@@ -379,4 +403,6 @@ def validate(table):
         for x in range(1, n)
         if not any(y != x and leq[y][x] for y in range(1, n))
     )
-    return CheckedEffectAlgebra(table=table, leq=leq, ortho=tuple(ortho), atoms=atoms)
+    return CheckedEffectAlgebra(
+        table=table, leq=leq, ortho=tuple(ortho), atoms=atoms, by_sum=by_sum
+    )

@@ -330,7 +330,12 @@ class CounterexampleSearch:
 
 def find_counterexample(max_n, max_size=None, parallel=1):
     """Search sizes 2..max_n for a theorem counterexample (none expected) and
-    for the smallest non-homogeneous / non-lattice fixtures."""
+    for the smallest non-homogeneous / non-lattice fixtures.
+
+    The search stops early only once all four are found.  The theorem
+    rules out a counterexample (the survey finds none up to size 10), so
+    every size up to max_n is enumerated, though the three fixtures are all
+    found at size 6."""
     _check_sizes(max_n, max_size)
     theorem = non_homog = non_homog_trivial = non_lattice = None
     with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
@@ -347,6 +352,7 @@ def find_counterexample(max_n, max_size=None, parallel=1):
                     non_lattice = e.table
                 if theorem is None and h and t and not _theorem_holds(e):
                     theorem = e.table
+            # never taken while the theorem holds: theorem stays None
             if theorem and non_homog and non_homog_trivial and non_lattice:
                 break
     return CounterexampleSearch(

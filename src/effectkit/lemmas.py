@@ -81,21 +81,26 @@ def check_L20(e):
 
 def check_L22(e):
     """In a homogeneous algebra, a defined sum inside [a, a'] (a an atom with
-    a <= a') must dominate a in one of its summands."""
+    a <= a') must dominate a in one of its summands.
+
+    For each such atom only the cells of by_sum[t], t in [a, a'], are
+    scanned, one sum at a time; the least failing cell over those sums is
+    the row-major first, so the witness (a, v1, v2) is that of a scan over
+    all cells."""
     if not is_homogeneous(e):
         return LemmaReport("L22", NOT_APPLICABLE)
-    s = e.table.sum
     for a in e.atoms:
-        ap = e.ortho[a]
-        if not e.leq[a][ap]:
+        ap, leq_a = e.ortho[a], e.leq[a]
+        if not leq_a[ap]:
             continue
-        for v1 in e.carrier:
-            for v2 in e.carrier:
-                t = s[v1][v2]
-                if t == UNDEF or not (e.leq[a][t] and e.leq[t][ap]):
-                    continue
-                if not (e.leq[a][v1] or e.leq[a][v2]):
-                    return LemmaReport("L22", FAIL, (a, v1, v2))
+        fails = []  # the first failing cell of each sum in [a, a']
+        for t in e.interval(a, ap):
+            for v1, v2 in e.by_sum[t]:
+                if not (leq_a[v1] or leq_a[v2]):
+                    fails.append((v1, v2))
+                    break
+        if fails:
+            return LemmaReport("L22", FAIL, (a, *min(fails)))
     return LemmaReport("L22", PASS)
 
 

@@ -235,20 +235,49 @@ def is_lattice_alt(e):
     )
 
 
+def homogeneity_failures_alt(e, u):
+    """Every cell (v1, v2), row-major, with u <= v1 + v2 <= u' and no
+    u1 + u2 = u below (v1, v2)."""
+    n, s, leq, ortho = e.size, e.table.sum, e.leq, e.ortho
+    return [
+        (v1, v2)
+        for v1 in range(n)
+        for v2 in range(n)
+        if s[v1][v2] != UNDEF
+        and leq[u][s[v1][v2]]
+        and leq[s[v1][v2]][ortho[u]]
+        and not any(
+            s[u1][u2] == u and leq[u1][v1] and leq[u2][v2]
+            for u1 in range(n)
+            for u2 in range(n)
+        )
+    ]
+
+
 def first_homogeneity_failure_alt(e):
     """Lexicographically first (u, v1, v2) with u <= v1 + v2 <= u' and no
     u1 + u2 = u below (v1, v2), or None."""
+    for u in e.carrier:
+        failures = homogeneity_failures_alt(e, u)
+        if failures:
+            return (u, *failures[0])
+    return None
+
+
+def first_L22_failure_alt(e):
+    """(a, v1, v2) for the first atom a <= a' in e.atoms and the first cell
+    in row-major order whose defined sum lies in [a, a'] while a lies below
+    neither summand, or None; a scan over all n**2 cells per atom."""
     n, s, leq, ortho = e.size, e.table.sum, e.leq, e.ortho
-    for u in range(n):
+    for a in e.atoms:
+        ap = ortho[a]
+        if not leq[a][ap]:
+            continue
         for v1 in range(n):
             for v2 in range(n):
                 t = s[v1][v2]
-                if t == UNDEF or not (leq[u][t] and leq[t][ortho[u]]):
+                if t == UNDEF or not (leq[a][t] and leq[t][ap]):
                     continue
-                if not any(
-                    s[u1][u2] == u and leq[u1][v1] and leq[u2][v2]
-                    for u1 in range(n)
-                    for u2 in range(n)
-                ):
-                    return u, v1, v2
+                if not (leq[a][v1] or leq[a][v2]):
+                    return a, v1, v2
     return None

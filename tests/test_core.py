@@ -349,16 +349,66 @@ def differential_tables():
             yield corrupted(t, rng, cells)
 
 
+def associativity_violations(t):
+    """Every (a, b, c) with a + (b + c) defined and (a + b) + c undefined or
+    different, in lexicographic order."""
+    n, s = t.size, t.sum
+    out = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                bc = s[b][c]
+                if bc == UNDEF or s[a][bc] == UNDEF:
+                    continue
+                ab = s[a][b]
+                if ab == UNDEF or s[ab][c] != s[a][bc]:
+                    out.append((a, b, c))
+    return out
+
+
+def met_out_of_order(t):
+    """True iff validate's walk (a, then the sum b + c, then (b, c)) meets a
+    violation before the lexicographically first one."""
+    found = associativity_violations(t)
+    walk_first = min(found, key=lambda v: (v[0], t.sum[v[1]][v[2]], v[1], v[2]))
+    return walk_first != found[0]
+
+
 def test_validate_matches_naive_scan_on_seeded_corruptions():
     kinds = set()
+    out_of_order = 0
     for t in differential_tables():
         got = validate_outcome(t)
         assert got == first_violation_alt(t)
         kinds.add(got[0])
+        out_of_order += got[0] == "NotAssociative" and met_out_of_order(t)
     assert kinds == {
         None, "BadIndex", "BadZero", "NotCommutative", "ZeroOneLawViolated",
         "OrthoMissing", "OrthoNotUnique", "NotAssociative",
     }
+    assert out_of_order
+
+
+@pytest.mark.parametrize(
+    "i,j,v,first",
+    [
+        # 2 + 2 = 1: (1, 2, 2) has b + c = 1, met before (1, 1, 2) with 3
+        (2, 2, 1, (1, 1, 2)),
+        # 1 + 3 = 2: (1, 1, 3) has b + c = 2, met before (1, 1, 2) with 3
+        (1, 3, 2, (1, 1, 2)),
+    ],
+)
+def test_associativity_witness_is_the_lexicographic_first(i, j, v, first):
+    rows = [list(r) for r in ek.chain(5).table.sum]
+    rows[i][j] = rows[j][i] = v
+    t = table(6, 5, rows)
+    assert len(associativity_violations(t)) >= 2
+    assert met_out_of_order(t)
+    with pytest.raises(ValidationError) as exc:
+        validate(t)
+    assert (exc.value.kind, exc.value.witness) == first_violation_alt(t)
+    assert exc.value.witness == first
+    assert verify_validation_witness(t, exc.value)
 
 
 def test_lattice_meet_join_match_naive_search(reference_algebras):

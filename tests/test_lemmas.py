@@ -31,11 +31,16 @@ from effectkit.lemmas import (
 
 from conftest import (
     first_homogeneity_failure_alt,
+    first_L22_failure_alt,
+    homogeneity_failures_alt,
     is_homogeneous_alt,
     non_homogeneous_fixture,
     relabelled,
     small_algebras,
 )
+
+
+U = ek.UNDEF
 
 
 def hsum(*lengths):
@@ -89,6 +94,37 @@ def test_homogeneity_witness_matches_search_by_definition(reference_algebras):
     assert failures > len(sums)
 
 
+# A ten-element algebra with trivial sharps (atoms 8 and 9) whose failures
+# of homogeneity at u = 8 lie at two sums: 7 + 7 = 3 and 7 + 9 = 9 + 7 = 5.
+E10_ROWS = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+    (1, U, U, U, U, U, U, U, U, U),
+    (2, U, U, U, U, U, U, U, U, 1),
+    (3, U, U, U, U, U, U, U, 1, U),
+    (4, U, U, U, U, U, U, 1, U, 2),
+    (5, U, U, U, U, U, 1, U, 2, 3),
+    (6, U, U, U, U, 1, U, 2, 3, 4),
+    (7, U, U, U, 1, U, 2, 3, 4, 5),
+    (8, U, U, 1, U, 2, 3, 4, 5, 6),
+    (9, U, 1, U, 2, 3, 4, 5, 6, 7),
+)
+
+
+def test_homogeneity_witness_is_the_lexicographic_first_over_several_sums():
+    # homogeneity_witness scans the cells one sum at a time; relabelling
+    # moves the row-major first failure off the failing sum of least index
+    base = ek.EffectAlgebraTable.from_rows(10, 1, E10_ROWS)
+    later_sum = 0
+    for seed in range(10):
+        e = ek.validate(relabelled(base, random.Random(seed)))
+        w = homogeneity_witness(e)
+        assert (w.u, w.v1, w.v2) == first_homogeneity_failure_alt(e)
+        assert verify_homogeneity_witness(e, w)
+        sums = [e.table.sum[v1][v2] for v1, v2 in homogeneity_failures_alt(e, w.u)]
+        later_sum += e.table.sum[w.v1][w.v2] > min(sums)
+    assert later_sum
+
+
 def test_homogeneity_is_computed_once_per_algebra(monkeypatch):
     prop = ek.CheckedEffectAlgebra.__dict__["homogeneity_witness"]
     runs = []
@@ -105,6 +141,25 @@ def test_homogeneity_is_computed_once_per_algebra(monkeypatch):
     lemma_suite(e)
     ek.decompose(e)
     assert len(runs) == 1
+
+
+def test_cells_by_sum_index_is_built_once_per_algebra(monkeypatch):
+    build = ek.core._cells_by_sum
+    runs = []
+
+    def counted(t):
+        runs.append(t)
+        return build(t)
+
+    t = relabelled(hsum(3, 4, 5).table, random.Random(3))
+    monkeypatch.setattr(ek.core, "_cells_by_sum", counted)
+    e = ek.validate(t)
+    index = e.by_sum
+    ek.analyze(e)
+    lemma_suite(e)
+    ek.decompose(e)
+    assert len(runs) == 1
+    assert e.by_sum is index
 
 
 def test_L14_examples():
@@ -134,6 +189,50 @@ def test_L22_examples():
 
 def test_L22_not_applicable_on_non_homogeneous(e6):
     assert check_L22(e6).verdict == NOT_APPLICABLE
+
+
+def L22_outcome_alt(e):
+    if not is_homogeneous_alt(e):
+        return NOT_APPLICABLE, None
+    w = first_L22_failure_alt(e)
+    return (PASS, None) if w is None else (FAIL, w)
+
+
+def test_L22_matches_all_cells_scan(reference_algebras):
+    verdicts = set()
+    for e in reference_algebras:
+        r = check_L22(e)
+        assert (r.verdict, r.witness) == L22_outcome_alt(e)
+        verdicts.add(r.verdict)
+    assert verdicts == {PASS, NOT_APPLICABLE}
+
+
+def test_L22_fail_witness_is_the_row_major_first_on_doctored_algebras():
+    # Declaring m an atom of a relabelled chain k (2m <= k, m >= 3) makes
+    # every cell (v1, v2) with v1, v2 < m and m <= v1 + v2 <= k - m fail:
+    # two or more cells, over one or more sums.  Relabelling shuffles the
+    # sums' indices, so the row-major first failure need not lie in the
+    # failing sum of least index, which the scan over by_sum meets first.
+    rng = random.Random(22)
+    later_sum = 0
+    for k in range(6, 12):
+        for m in range(3, k // 2 + 1):
+            perm = [0] + rng.sample(range(1, k + 1), k)
+            e = ek.validate(ek.relabel(ek.chain(k).table, perm))
+            bad = _doctored(e, atoms=(perm[1], perm[m]))
+            fails = [
+                (v1, v2)
+                for v1 in range(1, m)
+                for v2 in range(1, m)
+                if m <= v1 + v2 <= k - m
+            ]
+            assert len(fails) >= 2
+            r = check_L22(bad)
+            assert (r.verdict, r.witness) == (FAIL, first_L22_failure_alt(bad))
+            assert r.witness == (perm[m], *min((perm[v1], perm[v2]) for v1, v2 in fails))
+            s = bad.table.sum
+            later_sum += s[r.witness[1]][r.witness[2]] > min(perm[v1 + v2] for v1, v2 in fails)
+    assert later_sum
 
 
 def test_L30_L31_L32_examples():
