@@ -9,10 +9,12 @@ always the zero element, the unit index is explicit.
 validate() turns a table into a CheckedEffectAlgebra or raises a
 ValidationError whose witness verify_validation_witness() re-checks.  A
 CheckedEffectAlgebra keeps the index by_sum that validate builds, the
-defined cells grouped by their sum, which the associativity scan,
-homogeneity and L22 read so that each visits only the cells that can
-matter.  It computes each derived property once, on first use, and keeps
-it: sharp_set, is_lattice and homogeneity_witness.
+defined cells grouped by their sum, which the associativity scan, the
+atoms, homogeneity and L22 read so that each visits only the cells that
+can matter.  The order queries (sharpness, intervals, meets, joins and
+covers) read one int-bitset form of the order, the down-sets and up-sets
+of _bounds.  Each derived property is computed once, on first use, and
+kept: _bounds, sharp_set, is_lattice and homogeneity_witness.
 """
 
 from dataclasses import dataclass
@@ -75,10 +77,13 @@ class CheckedEffectAlgebra:
     """A validated algebra with its derived order, orthosupplement and atoms.
 
     by_sum, built once by validate, indexes the defined cells by their sum.
-    The derived properties sharp_set, is_lattice and homogeneity_witness are
-    cached: each is computed on first use and then read, so it is computed
-    at most once per algebra.  Otherwise immutable after validation; safe to
-    share across concurrent readers.
+    is_sharp, sharp_set, interval, meet, join, is_lattice and hasse_covers
+    read the order as the int bitsets of _bounds; leq stays as the table of
+    booleans that the lemma oracles index.  The derived properties _bounds,
+    sharp_set, is_lattice and homogeneity_witness are cached: each is
+    computed on first use and then read, so it is computed at most once per
+    algebra.  Otherwise immutable after validation; safe to share across
+    concurrent readers.
     """
 
     table: EffectAlgebraTable
@@ -109,8 +114,8 @@ class CheckedEffectAlgebra:
 
     def interval(self, x, y):
         """All z with x <= z <= y, ascending; empty when x is not below y."""
-        leq = self.leq
-        return tuple(z for z in self.carrier if leq[x][z] and leq[z][y])
+        down, up, _, _ = self._bounds
+        return _bits(up[x] & down[y])
 
     def multiple(self, x, n):
         """n-fold sum of x (0 for n = 0), or None once a partial sum is undefined."""
@@ -134,8 +139,8 @@ class CheckedEffectAlgebra:
 
     def is_sharp(self, x):
         """True iff the only common lower bound of x and x' is 0."""
-        leq, xp = self.leq, self.ortho[x]
-        return not any(b and leq[b][x] and leq[b][xp] for b in self.carrier)
+        down = self._bounds[0]
+        return down[x] & down[self.ortho[x]] == 1
 
     @cached_property
     def sharp_set(self):
@@ -144,17 +149,19 @@ class CheckedEffectAlgebra:
     @cached_property
     def _bounds(self):
         # Down-sets and up-sets as int bitsets (bit z of down[x] iff z <= x),
-        # and each set's element.  The common lower bounds of x and y are
-        # down[x] & down[y]; they have a greatest element g iff that set is
-        # down[g].  Antisymmetry makes every down-set (and up-set) distinct.
-        n, leq = self.size, self.leq
+        # and each set's element.  z <= y iff some cell (z, c) of by_sum[y]
+        # exists, so one pass over by_sum fills both.  The common lower
+        # bounds of x and y are down[x] & down[y]; they have a greatest
+        # element g iff that set is down[g].  Antisymmetry makes every
+        # down-set (and up-set) distinct.
+        n = self.size
         down, up = [0] * n, [0] * n
-        for x in range(n):
-            row = leq[x]
-            for y in range(n):
-                if row[y]:
-                    up[x] |= 1 << y
-                    down[y] |= 1 << x
+        for y, cells in enumerate(self.by_sum):
+            bit, below = 1 << y, 0
+            for z, _ in cells:
+                below |= 1 << z
+                up[z] |= bit
+            down[y] = below
         by_down = {d: g for g, d in enumerate(down)}
         by_up = {u: g for g, u in enumerate(up)}
         return down, up, by_down, by_up
@@ -191,23 +198,27 @@ class CheckedEffectAlgebra:
         whose sum lies in [u, u'] fails iff m1[v1] & m2[v2] == 0.  Only the
         cells of by_sum[t] for t in [u, u'] are scanned, one sum at a time,
         so the least failing cell over those sums is the lexicographic one.
+        Their summands lie below t, so below u', and the masks are built
+        for the elements below u' only.
         """
         n, leq, ortho, by_sum = self.size, self.leq, self.ortho, self.by_sum
         for u in range(n):
             up, leq_u = ortho[u], leq[u]
             if not leq_u[up]:
                 continue
+            below = [v for v in range(n) if leq[v][up]]
             m1, m2 = [0] * n, [0] * n
             for k, (u1, u2) in enumerate(by_sum[u]):
                 bit = 1 << k
-                for v, (a, b) in enumerate(zip(leq[u1], leq[u2])):
-                    if a:
+                leq1, leq2 = leq[u1], leq[u2]
+                for v in below:
+                    if leq1[v]:
                         m1[v] |= bit
-                    if b:
+                    if leq2[v]:
                         m2[v] |= bit
             fails = []  # the first failing cell of each sum in [u, u']
-            for t in range(n):
-                if leq_u[t] and leq[t][up]:
+            for t in below:
+                if leq_u[t]:
                     for v1, v2 in by_sum[t]:
                         if not m1[v1] & m2[v2]:
                             fails.append((v1, v2))
@@ -217,15 +228,25 @@ class CheckedEffectAlgebra:
         return None
 
     def hasse_covers(self):
-        """All pairs (x, y) with x < y and nothing strictly between."""
-        leq, n = self.leq, self.size
-        lt = [[leq[x][y] and x != y for y in range(n)] for x in range(n)]
+        """All pairs (x, y) with x < y and nothing strictly between, ordered
+        by x, then y: y covers x iff [x, y] is {x, y} alone."""
+        down, up, _, _ = self._bounds
         return tuple(
             (x, y)
-            for x in range(n)
-            for y in range(n)
-            if lt[x][y] and not any(lt[x][z] and lt[z][y] for z in range(n))
+            for x in self.carrier
+            for y in _bits(up[x] & ~(1 << x))
+            if up[x] & down[y] == (1 << x) | (1 << y)
         )
+
+
+def _bits(m):
+    """The indices of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
 
 def _check_shape(t):
@@ -320,9 +341,10 @@ def validate(table):
     associativity scan visits only the triples whose a + (b + c) is
     defined, reached through by_sum; it raises the least failing (b, c) of
     the least failing a, the first witness of a scan over all n**3 triples.
-    Cancellation, positivity and an involutive orthosupplement follow from
-    the axioms; they are re-checked last, and a breach raises
-    AssertionError, which marks a bug in the checks above.
+    The atoms are read off by_sum as well.  Cancellation, positivity and an
+    involutive orthosupplement follow from the axioms; they are re-checked
+    last, and a breach raises AssertionError, which marks a bug in the
+    checks above.
     """
     _check_shape(table)
     n, one, s = table.size, table.one, table.sum
@@ -344,12 +366,14 @@ def validate(table):
 
     ortho = []
     for x in range(n):
-        partners = [c for c in range(n) if s[x][c] == one]
-        if not partners:
+        row = s[x]
+        count = row.count(one)
+        if not count:
             raise ValidationError("OrthoMissing", (x,))
-        if len(partners) > 1:
-            raise ValidationError("OrthoNotUnique", (x, partners[0], partners[1]))
-        ortho.append(partners[0])
+        first = row.index(one)
+        if count > 1:
+            raise ValidationError("OrthoNotUnique", (x, first, row.index(one, first + 1)))
+        ortho.append(first)
 
     # One direction over all ordered triples covers both readings of
     # associativity, given commutativity was verified above: a + (b + c)
@@ -398,11 +422,9 @@ def validate(table):
         if ortho[ortho[x]] != x:
             raise AssertionError(f"orthosupplement not involutive at {x}")
 
-    atoms = tuple(
-        x
-        for x in range(1, n)
-        if not any(y != x and leq[y][x] for y in range(1, n))
-    )
+    # x != 0 is an atom iff nothing but 0 and x lies below it: by
+    # cancellation and positivity, iff its only cells are (0, x) and (x, 0).
+    atoms = tuple(x for x in range(1, n) if len(by_sum[x]) == 2)
     return CheckedEffectAlgebra(
         table=table, leq=leq, ortho=tuple(ortho), atoms=atoms, by_sum=by_sum
     )

@@ -157,8 +157,9 @@ def corrupted(t, rng, cells):
 
 
 # Naive references, coded from the definitions without the indexes and
-# bitsets of src/: validation as a triple loop over every (a, b, c), meet and
-# join by search over all bounds, homogeneity by search over all splits.
+# bitsets of src/: validation as a triple loop over every (a, b, c); atoms,
+# sharpness, intervals, covers, meet and join by search over the order
+# table leq; homogeneity by search over all splits.
 
 
 def first_violation_alt(t):
@@ -209,10 +210,37 @@ def first_violation_alt(t):
     leq = tuple(
         tuple(any(s[x][c] == y for c in range(n)) for y in range(n)) for x in range(n)
     )
-    atoms = tuple(
+    return None, (leq, tuple(ortho), atoms_alt(leq))
+
+
+def atoms_alt(leq):
+    """The minimal nonzero elements of the order leq, by search."""
+    n = len(leq)
+    return tuple(
         x for x in range(1, n) if not any(y != x and leq[y][x] for y in range(1, n))
     )
-    return None, (leq, tuple(ortho), atoms)
+
+
+def is_sharp_alt(e, x):
+    """True iff no b != 0 lies below both x and x', by search."""
+    return not any(b and e.leq[b][x] and e.leq[b][e.ortho[x]] for b in e.carrier)
+
+
+def interval_alt(e, x, y):
+    """Every z with x <= z <= y, ascending, by search."""
+    return tuple(z for z in e.carrier if e.leq[x][z] and e.leq[z][y])
+
+
+def hasse_covers_alt(e):
+    """Every (x, y) with x < y and no z strictly between, by search."""
+    n, leq = e.size, e.leq
+    lt = [[leq[x][y] and x != y for y in range(n)] for x in range(n)]
+    return tuple(
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if lt[x][y] and not any(lt[x][z] and lt[z][y] for z in range(n))
+    )
 
 
 def meet_alt(e, x, y):

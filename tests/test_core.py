@@ -14,11 +14,16 @@ from effectkit.core import (
     validate,
     verify_validation_witness,
 )
+from effectkit.enumeration import _enumerate_tables
 
 from conftest import (
+    atoms_alt,
     corrupted,
     first_violation_alt,
+    hasse_covers_alt,
+    interval_alt,
     is_lattice_alt,
+    is_sharp_alt,
     join_alt,
     meet_alt,
     non_homogeneous_fixture,
@@ -421,6 +426,59 @@ def test_lattice_meet_join_match_naive_search(reference_algebras):
                 assert e.meet(x, y) == meet_alt(e, x, y)
                 assert e.join(x, y) == join_alt(e, x, y)
     assert 0 < lattices < len(reference_algebras)
+
+
+def assert_order_primitives_match_search(e):
+    """is_sharp, sharp_set, interval over all pairs, atoms and hasse_covers
+    against the searches over leq."""
+    sharp = tuple(x for x in e.carrier if is_sharp_alt(e, x))
+    assert e.sharp_set == sharp
+    assert tuple(x for x in e.carrier if e.is_sharp(x)) == sharp
+    assert e.atoms == atoms_alt(e.leq)
+    for x in e.carrier:
+        for y in e.carrier:
+            assert e.interval(x, y) == interval_alt(e, x, y), (x, y)
+    assert e.hasse_covers() == hasse_covers_alt(e)
+
+
+def order_kinds(algebras):
+    """Which of non-lattice, non-homogeneous and non-trivial sharps occur."""
+    kinds = set()
+    for e in algebras:
+        if not e.is_lattice:
+            kinds.add("non-lattice")
+        if e.homogeneity_witness is not None:
+            kinds.add("non-homogeneous")
+        if e.sharp_set != (0, e.one):
+            kinds.add("sharp")
+    return kinds
+
+
+def test_order_primitives_match_search_on_reference_algebras(reference_algebras):
+    for e in reference_algebras:
+        assert_order_primitives_match_search(e)
+    assert order_kinds(reference_algebras) == {"non-lattice", "non-homogeneous", "sharp"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_order_primitives_match_search_on_every_labelled_table(n):
+    algebras = [validate(t) for t in _enumerate_tables(n, leaf_filter=False)]
+    for e in algebras:
+        assert_order_primitives_match_search(e)
+    if n == 6:
+        assert order_kinds(algebras) == {"non-lattice", "non-homogeneous", "sharp"}
+
+
+def test_order_primitives_match_search_on_differential_tables():
+    algebras = []
+    for t in differential_tables():
+        try:
+            algebras.append(validate(t))
+        except ValidationError:
+            continue
+    for e in algebras:
+        assert_order_primitives_match_search(e)
+    assert order_kinds(algebras) == {"non-lattice", "non-homogeneous", "sharp"}
 
 
 def test_validation_witnesses_reverify():

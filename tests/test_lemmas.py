@@ -73,10 +73,11 @@ def test_homogeneity_differential_on_non_homogeneous(e6):
     assert not is_homogeneous_alt(e6)
 
 
-def test_homogeneity_witness_matches_search_by_definition(reference_algebras):
+def fixture_sums():
+    """Horizontal sums holding the non-homogeneous fixture, relabelled."""
     rng = random.Random(11)
     fixture = non_homogeneous_fixture()
-    sums = [
+    return [
         ek.validate(relabelled(ek.horizontal_sum(parts).table, rng))
         for parts in (
             [fixture, ek.chain(2)],
@@ -85,6 +86,10 @@ def test_homogeneity_witness_matches_search_by_definition(reference_algebras):
             [fixture, fixture],
         )
     ]
+
+
+def test_homogeneity_witness_matches_search_by_definition(reference_algebras):
+    sums = fixture_sums()
     failures = 0
     for e in reference_algebras + sums:
         w = homogeneity_witness(e)
@@ -92,6 +97,45 @@ def test_homogeneity_witness_matches_search_by_definition(reference_algebras):
         assert (None if w is None else (w.u, w.v1, w.v2)) == want
         failures += w is not None
     assert failures > len(sums)
+
+
+def split_reaches_past_u_prime(e):
+    """True iff some u <= u' splits as u1 + u2 = u with an element other
+    than the unit above a summand but not below u'.  homogeneity_witness
+    builds its split masks over [0, u'] only, so it skips that element."""
+    leq, ortho = e.leq, e.ortho
+    for u in e.carrier:
+        up = ortho[u]
+        if not leq[u][up]:
+            continue
+        for u1, u2 in e.by_sum[u]:
+            for v in e.carrier:
+                if v != e.one and not leq[v][up] and (leq[u1][v] or leq[u2][v]):
+                    return True
+    return False
+
+
+def test_restricted_split_masks_match_search_by_definition():
+    rng = random.Random(5)
+    products = [
+        ek.validate(relabelled(ek.direct_product(ek.chain(i), ek.chain(j)).table, rng))
+        for i, j in ((1, 2), (2, 2), (2, 3), (3, 3), (2, 5))
+    ]
+    products.append(
+        ek.validate(relabelled(ek.horizontal_sum([products[2], ek.chain(3)]).table, rng))
+    )
+    e10 = [
+        ek.validate(relabelled(ek.EffectAlgebraTable.from_rows(10, 1, E10_ROWS), rng))
+        for _ in range(3)
+    ]
+    sums = fixture_sums()
+    for e in products + e10:
+        assert split_reaches_past_u_prime(e)
+    for e in products + e10 + sums:
+        w = homogeneity_witness(e)
+        assert (None if w is None else (w.u, w.v1, w.v2)) == first_homogeneity_failure_alt(e)
+    assert all(is_homogeneous(e) for e in products)
+    assert not any(is_homogeneous(e) for e in e10 + sums)
 
 
 # A ten-element algebra with trivial sharps (atoms 8 and 9) whose failures
@@ -125,8 +169,10 @@ def test_homogeneity_witness_is_the_lexicographic_first_over_several_sums():
     assert later_sum
 
 
-def test_homogeneity_is_computed_once_per_algebra(monkeypatch):
-    prop = ek.CheckedEffectAlgebra.__dict__["homogeneity_witness"]
+def computations_of(monkeypatch, name):
+    """How often analyze, lemma_suite and decompose on one algebra compute
+    the cached property `name`."""
+    prop = ek.CheckedEffectAlgebra.__dict__[name]
     runs = []
 
     def counted(e):
@@ -134,13 +180,21 @@ def test_homogeneity_is_computed_once_per_algebra(monkeypatch):
         return prop.func(e)
 
     counting = functools.cached_property(counted)
-    counting.__set_name__(ek.CheckedEffectAlgebra, "homogeneity_witness")
-    monkeypatch.setattr(ek.CheckedEffectAlgebra, "homogeneity_witness", counting)
+    counting.__set_name__(ek.CheckedEffectAlgebra, name)
+    monkeypatch.setattr(ek.CheckedEffectAlgebra, name, counting)
     e = ek.validate(relabelled(hsum(3, 4, 5).table, random.Random(3)))
     ek.analyze(e)
     lemma_suite(e)
     ek.decompose(e)
-    assert len(runs) == 1
+    return len(runs)
+
+
+def test_homogeneity_is_computed_once_per_algebra(monkeypatch):
+    assert computations_of(monkeypatch, "homogeneity_witness") == 1
+
+
+def test_order_bitsets_are_built_once_per_algebra(monkeypatch):
+    assert computations_of(monkeypatch, "_bounds") == 1
 
 
 def test_cells_by_sum_index_is_built_once_per_algebra(monkeypatch):
