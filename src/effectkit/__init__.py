@@ -25,7 +25,6 @@ from .enumeration import (
     SizeTooLarge,
     SurveyRow,
     enumerate_all,
-    find_counterexample,
     survey,
     write_enumeration,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "decompose",
     "direct_product",
     "enumerate_all",
-    "find_counterexample",
     "from_spec",
     "homogeneity_witness",
     "horizontal_sum",

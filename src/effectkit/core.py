@@ -250,10 +250,12 @@ def _bits(m):
 
 
 def _check_shape(t):
+    # type(v) is int, not isinstance: parse refuses bool cells, so a bool
+    # accepted here would serialize to a table parse cannot read back
     n = t.size
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise ValidationError("BadIndex", (n,))
-    if not isinstance(t.one, int) or not 0 < t.one < n:
+    if type(t.one) is not int or not 0 < t.one < n:
         raise ValidationError("BadIndex", (t.one,))
     if len(t.sum) != n:
         raise ValidationError("BadIndex", (len(t.sum),))
@@ -263,7 +265,7 @@ def _check_shape(t):
             raise ValidationError("BadIndex", (i,))
         for j in range(n):
             v = row[j]
-            if not isinstance(v, int) or v < UNDEF or v >= n:
+            if type(v) is not int or v < UNDEF or v >= n:
                 raise ValidationError("BadIndex", (i, j))
 
 
@@ -274,20 +276,23 @@ def verify_validation_witness(table, err):
     Uses only the table's cells, never a derived order or orthosupplement,
     and holds a witness to being a violation, not to being the first one.
     A BadIndex witness (k,) names the size, the unit, the row count or a
-    row of the wrong length; (i, j) names an entry out of range.  Every
-    other kind needs a well-shaped table and indices inside it.
+    row of the wrong length; (i, j) names an entry out of range.  A size,
+    unit or entry whose type is not int is out of range.  Every other kind
+    needs a well-shaped table and indices inside it.
     """
     t, kind, w = table, err.kind, err.witness
     if kind == "BadIndex":
         n, rows = t.size, t.sum
         match w:
+            case _ if type(n) is not int:
+                return w == (n,)
             case (int(i), int(j)) if 0 <= i < len(rows) and 0 <= j < len(rows[i]):
                 v = rows[i][j]
-                return not isinstance(v, int) or not UNDEF <= v < n
+                return type(v) is not int or not UNDEF <= v < n
             case (k,):
                 return (
                     (k == n and n < 2)
-                    or (k == t.one and not (isinstance(k, int) and 0 < k < n))
+                    or (k == t.one and not (type(k) is int and 0 < k < n))
                     or (k == len(rows) != n)
                     or (isinstance(k, int) and 0 <= k < len(rows) and len(rows[k]) != n)
                 )

@@ -44,6 +44,11 @@ their results are read back in that order, so the parent surveys or
 writes size n while the workers search the sizes after it.  Each size's
 keys are merged and sorted, so the output is identical for every
 --parallel.  A serial run searches each size whole, with no pool.
+
+Survey: survey_row is the one scan that parses, validates and classifies
+the enumerated keys.  It counts the homogeneous and the trivial-sharp keys,
+and checks the theorem's conclusions C2 and C3 on the keys that are both;
+a key that fails them is a counterexample, which the theorem rules out.
 """
 
 import os
@@ -282,14 +287,10 @@ def enumerate_all(n, max_size=None, parallel=1):
     return keys
 
 
-def _theorem_holds(e):
-    """The structure theorem's conclusions C2 and C3 both pass on e."""
-    c2, c3 = verify_C2_C3(e)
-    return c2.verdict == PASS and c3.verdict == PASS
-
-
 def survey_row(n, keys):
-    """Aggregate the structure-theorem flags over one size's canonical keys."""
+    """Aggregate the structure-theorem flags over one size's canonical keys:
+    a hypothesis-class key (homogeneous, trivial sharps) is verified when
+    the theorem's conclusions C2 and C3 both pass on it."""
     homog = trivial = hyp = verified = 0
     for key in keys:
         e = validate(parse(key))
@@ -299,7 +300,8 @@ def survey_row(n, keys):
         trivial += t
         if h and t:
             hyp += 1
-            verified += _theorem_holds(e)
+            c2, c3 = verify_C2_C3(e)
+            verified += c2.verdict == PASS and c3.verdict == PASS
     return SurveyRow(
         size=n,
         total=len(keys),
@@ -316,51 +318,6 @@ def survey(max_n, max_size=None, parallel=1):
     _check_sizes(max_n, max_size)
     with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
         return [survey_row(n, keys) for n, keys in sizes]
-
-
-@dataclass(frozen=True)
-class CounterexampleSearch:
-    """Smallest instances located by scanning the enumerated universe."""
-
-    theorem: EffectAlgebraTable | None
-    non_homogeneous: EffectAlgebraTable | None
-    non_homogeneous_trivial_sharp: EffectAlgebraTable | None
-    non_lattice: EffectAlgebraTable | None
-
-
-def find_counterexample(max_n, max_size=None, parallel=1):
-    """Search sizes 2..max_n for a theorem counterexample (none expected) and
-    for the smallest non-homogeneous / non-lattice fixtures.
-
-    The search stops early only once all four are found.  The theorem
-    rules out a counterexample (the survey finds none up to size 10), so
-    every size up to max_n is enumerated, though the three fixtures are all
-    found at size 6."""
-    _check_sizes(max_n, max_size)
-    theorem = non_homog = non_homog_trivial = non_lattice = None
-    with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
-        for _, keys in sizes:
-            for key in keys:
-                e = validate(parse(key))
-                h = is_homogeneous(e)
-                t = has_trivial_sharps(e)
-                if non_homog is None and not h:
-                    non_homog = e.table
-                if non_homog_trivial is None and not h and t:
-                    non_homog_trivial = e.table
-                if non_lattice is None and not e.is_lattice:
-                    non_lattice = e.table
-                if theorem is None and h and t and not _theorem_holds(e):
-                    theorem = e.table
-            # never taken while the theorem holds: theorem stays None
-            if theorem and non_homog and non_homog_trivial and non_lattice:
-                break
-    return CounterexampleSearch(
-        theorem=theorem,
-        non_homogeneous=non_homog,
-        non_homogeneous_trivial_sharp=non_homog_trivial,
-        non_lattice=non_lattice,
-    )
 
 
 def write_enumeration(out_dir, max_n, max_size=None, parallel=1):

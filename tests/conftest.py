@@ -166,9 +166,9 @@ def first_violation_alt(t):
     """(kind, witness) of the first axiom violation in validate's check
     order, or (None, (leq, ortho, atoms)) when the table is valid."""
     n, one, s = t.size, t.one, t.sum
-    if n < 2:
+    if type(n) is not int or n < 2:
         return "BadIndex", (n,)
-    if not isinstance(one, int) or not 0 < one < n:
+    if type(one) is not int or not 0 < one < n:
         return "BadIndex", (one,)
     if len(s) != n:
         return "BadIndex", (len(s),)
@@ -176,7 +176,7 @@ def first_violation_alt(t):
         if len(s[i]) != n:
             return "BadIndex", (i,)
         for j in range(n):
-            if not isinstance(s[i][j], int) or not UNDEF <= s[i][j] < n:
+            if type(s[i][j]) is not int or not UNDEF <= s[i][j] < n:
                 return "BadIndex", (i, j)
     for x in range(n):
         if s[0][x] != x:

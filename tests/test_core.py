@@ -115,6 +115,11 @@ def test_bad_zero():
         (3, 0, [[0, 1, 2], [1, 2, U], [2, U, U]]),
         (3, 2, [[0, 1, 2], [1, 2], [2, U, U]]),
         (3, 2, [[0, 1, 2], [1, 5, U], [2, U, U]]),
+        # values parse refuses: a bool cell, a bool unit, a float and a str size
+        (3, 2, [[0, True, 2], [True, 2, U], [2, U, U]]),
+        (3, True, [[0, 1, 2], [1, 2, U], [2, U, U]]),
+        (2.0, 1, [[0, 1], [1, U]]),
+        ("2", 1, [[0, 1], [1, U]]),
     ],
 )
 def test_bad_index(size, one, rows):
@@ -122,7 +127,20 @@ def test_bad_index(size, one, rows):
     with pytest.raises(ValidationError) as exc:
         validate(t)
     assert exc.value.kind == "BadIndex"
+    assert (exc.value.kind, exc.value.witness) == first_violation_alt(t)
     assert verify_validation_witness(t, exc.value)
+
+
+def test_serialize_round_trips_every_valid_differential_table():
+    valid = 0
+    for t in differential_tables():
+        try:
+            e = validate(t)
+        except ValidationError:
+            continue
+        assert ek.parse(ek.serialize(e.table)) == e.table
+        valid += 1
+    assert valid
 
 
 def test_not_associative_first_witness():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import multiprocessing
 import os
 import random
@@ -19,7 +20,6 @@ from effectkit.enumeration import (
     SizeTooLarge,
     _enumerate_tables,
     enumerate_all,
-    find_counterexample,
     survey,
     survey_row,
     write_enumeration,
@@ -42,6 +42,16 @@ KEYS_SHA256_AT_10 = "267e597e9ce5fe350e4570e53b365fc46ef21d7ba393db2654080391edc
 PREFIX_TESTS = {2: 1, 3: 2, 4: 7, 5: 25, 6: 102, 7: 268, 8: 839}
 PREFIX_TESTS_AT_9 = 2105
 PREFIX_TESTS_AT_10 = 6118
+
+
+@pytest.fixture(scope="module")
+def fixture_script():
+    """scripts/find_fixtures.py, loaded once as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "find_fixtures.py"
+    spec = importlib.util.spec_from_file_location("find_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_force_classes(n):
@@ -411,7 +421,6 @@ def test_size_cap_is_checked_before_any_work(tmp_path, monkeypatch):
                                    (0, None, ValueError), (-3, None, ValueError)):
         for run in (
             lambda: survey(max_n, max_size=max_size, parallel=2),
-            lambda: find_counterexample(max_n, max_size=max_size, parallel=2),
             lambda: write_enumeration(str(out), max_n, max_size=max_size, parallel=2),
         ):
             with pytest.raises(error):
@@ -424,8 +433,6 @@ def test_shared_pool_matches_serial():
     assert survey(8, parallel=2) == serial
     assert not multiprocessing.active_children()
     assert survey(8, parallel=3) == serial
-    assert not multiprocessing.active_children()
-    assert find_counterexample(8, parallel=2) == find_counterexample(8)
     assert not multiprocessing.active_children()
 
 
@@ -520,38 +527,51 @@ def test_survey_rows():
 
 
 def test_hypothesis_class_counts_match_partitions():
-    # homogeneous + trivial sharps is exactly "horizontal sum of chains",
-    # so per size the class count equals the partition count of n - 2
-    for n in range(2, 7):
-        row = survey_row(n, enumerate_all(n))
-        assert row.hypothesis_class == sum(1 for _ in partitions(n - 2))
+    # homogeneous + trivial sharps is exactly "horizontal sum of chains":
+    # per size the members' nonzero chain interiors l - 1 are the
+    # partitions of n - 2, each once, and C2 and C3 pass on every member
+    for n in range(2, 9):
+        keys = enumerate_all(n)
+        row = survey_row(n, keys)
+        members = [e for e in map(validate, map(ek.parse, keys))
+                   if is_homogeneous(e) and has_trivial_sharps(e)]
+        interiors = sorted(
+            tuple(sorted(l - 1 for l in ek.decompose(e).chain_lengths if l > 1))
+            for e in members
+        )
+        assert interiors == sorted(partitions(n - 2))
+        assert row.hypothesis_class == len(members)
         assert row.counterexamples == 0
         assert row.theorem_verified == row.hypothesis_class
 
 
-def test_find_counterexample_smallest_sizes(e6):
-    found = find_counterexample(6)
-    assert found.theorem is None
-    assert found.non_homogeneous is not None
-    assert found.non_homogeneous.size == 6
-    assert found.non_homogeneous == found.non_homogeneous_trivial_sharp
-    assert found.non_lattice == found.non_homogeneous
-    got = validate(found.non_homogeneous)
-    assert ek.canonical_form(got) == ek.canonical_form(e6)
+def test_first_non_homogeneous_key_is_the_smallest_fixture(e6):
+    scan = [validate(ek.parse(key)) for n in range(2, 7) for key in enumerate_all(n)]
+    first = next(e for e in scan if not is_homogeneous(e))
+    assert first.size == 6
+    assert first is next(e for e in scan if not is_homogeneous(e) and has_trivial_sharps(e))
+    assert first is next(e for e in scan if not e.is_lattice)
+    assert ek.canonical_form(first) == ek.canonical_form(e6)
     # nothing smaller: sizes 2..5 are all homogeneous lattices
-    for n in range(2, 6):
-        for key in enumerate_all(n):
-            e = validate(ek.parse(key))
-            assert is_homogeneous(e) and e.is_lattice
+    assert all(is_homogeneous(e) and e.is_lattice for e in scan if e.size < 6)
 
 
-def test_persisted_fixture_matches_search(e6):
+def test_fixture_script_regenerates_the_committed_bytes(fixture_script):
+    from conftest import FIXTURES, fixture_bytes
+
+    made = fixture_script.fixtures()
+    assert sorted(made) == sorted(p.name for p in Path(FIXTURES).glob("*.json"))
+    for name, data in made.items():
+        assert data == fixture_bytes(name), name
+
+
+def test_persisted_fixture_matches_search(fixture_script):
     from conftest import fixture_bytes
 
     data = fixture_bytes("smallest_non_homogeneous_trivial_sharp.json")
-    found = find_counterexample(6)
-    assert ek.canonical_form(found.non_homogeneous_trivial_sharp) == data
+    assert fixture_script.fixtures()["smallest_non_homogeneous_trivial_sharp.json"] == data
     e = validate(ek.parse(data))
+    assert ek.canonical_form(e) == data
     assert has_trivial_sharps(e) and not is_homogeneous(e)
     w = ek.homogeneity_witness(e)
     assert ek.lemmas.verify_homogeneity_witness(e, w)
