@@ -11,10 +11,11 @@ ValidationError whose witness verify_validation_witness() re-checks.  A
 CheckedEffectAlgebra keeps the index by_sum that validate builds, the
 defined cells grouped by their sum, which the associativity scan, the
 atoms, homogeneity and L22 read so that each visits only the cells that
-can matter.  The order queries (sharpness, intervals, meets, joins and
-covers) read one int-bitset form of the order, the down-sets and up-sets
-of _bounds.  Each derived property is computed once, on first use, and
-kept: _bounds, sharp_set, is_lattice and homogeneity_witness.
+can matter.  The order is stored in one form, the int-bitset down-sets
+and up-sets of _bounds, filled from by_sum; le and the order queries
+(sharpness, intervals, meets, joins and covers) read it.  Each derived
+property is computed once, on first use, and kept: _bounds, sharp_set,
+is_lattice and homogeneity_witness.
 """
 
 from dataclasses import dataclass
@@ -77,17 +78,15 @@ class CheckedEffectAlgebra:
     """A validated algebra with its derived order, orthosupplement and atoms.
 
     by_sum, built once by validate, indexes the defined cells by their sum.
+    The order is held only as the int bitsets of _bounds, which le,
     is_sharp, sharp_set, interval, meet, join, is_lattice and hasse_covers
-    read the order as the int bitsets of _bounds; leq stays as the table of
-    booleans that the lemma oracles index.  The derived properties _bounds,
-    sharp_set, is_lattice and homogeneity_witness are cached: each is
-    computed on first use and then read, so it is computed at most once per
-    algebra.  Otherwise immutable after validation; safe to share across
-    concurrent readers.
+    read.  The derived properties _bounds, sharp_set, is_lattice and
+    homogeneity_witness are cached: each is computed on first use and then
+    read, so it is computed at most once per algebra.  Otherwise immutable
+    after validation; safe to share across concurrent readers.
     """
 
     table: EffectAlgebraTable
-    leq: tuple        # leq[x][y] iff some c has x + c = y
     ortho: tuple      # ortho[x] is the unique x' with x + x' = 1
     atoms: tuple      # minimal nonzero elements, ascending
     by_sum: tuple     # by_sum[t]: the cells (x, y) with x + y = t, row-major
@@ -110,7 +109,8 @@ class CheckedEffectAlgebra:
         return None if v == UNDEF else v
 
     def le(self, x, y):
-        return self.leq[x][y]
+        """True iff x <= y, that is, some c has x + c = y."""
+        return self._bounds[0][y] >> x & 1 == 1
 
     def interval(self, x, y):
         """All z with x <= z <= y, ascending; empty when x is not below y."""
@@ -127,15 +127,18 @@ class CheckedEffectAlgebra:
                 return None
         return acc
 
-    def isotropy_index(self, x):
-        """Largest n >= 1 for which the n-fold sum of x is defined."""
+    def multiples(self, x):
+        """(0, x, 2x, ..., kx): every defined multiple of x, k its isotropy index."""
         if x == 0:
             raise ValueError("isotropy index is undefined for the zero element")
-        n, acc = 1, x
-        while self.table.sum[acc][x] != UNDEF:
-            acc = self.table.sum[acc][x]
-            n += 1
-        return n
+        row_of, out = self.table.sum, [0, x]
+        while (acc := row_of[out[-1]][x]) != UNDEF:
+            out.append(acc)
+        return tuple(out)
+
+    def isotropy_index(self, x):
+        """Largest n >= 1 for which the n-fold sum of x is defined."""
+        return len(self.multiples(x)) - 1
 
     def is_sharp(self, x):
         """True iff the only common lower bound of x and x' is 0."""
@@ -199,9 +202,17 @@ class CheckedEffectAlgebra:
         cells of by_sum[t] for t in [u, u'] are scanned, one sum at a time,
         so the least failing cell over those sums is the lexicographic one.
         Their summands lie below t, so below u', and the masks are built
-        for the elements below u' only.
+        for the elements below u' only.  The mask loop indexes the order
+        once per split and element, so it reads rows of booleans, built here
+        from the table, not the bitsets of _bounds, which are slower there.
         """
-        n, leq, ortho, by_sum = self.size, self.leq, self.ortho, self.by_sum
+        n, ortho, by_sum = self.size, self.ortho, self.by_sum
+        leq = [[False] * n for _ in range(n)]  # leq[x][y] iff x <= y
+        for x, row in enumerate(self.table.sum):
+            leq_x = leq[x]
+            for y in row:
+                if y != UNDEF:
+                    leq_x[y] = True
         for u in range(n):
             up, leq_u = ortho[u], leq[u]
             if not leq_u[up]:
@@ -335,7 +346,7 @@ def _cells_by_sum(table):
 
 
 def validate(table):
-    """Check the effect-algebra axioms and derive order, ortho map and atoms.
+    """Check the effect-algebra axioms and derive the ortho map and atoms.
 
     Checks, in order: table shape (BadIndex), index 0 acting as zero
     (BadZero), commutativity including definedness (NotCommutative), the
@@ -401,16 +412,6 @@ def validate(table):
         if fails:
             raise ValidationError("NotAssociative", (a, *min(fails)))
 
-    # leq[x][y] iff some c has x + c = y: mark each row's defined sums.
-    leq = []
-    for x in range(n):
-        row = [False] * n
-        for y in s[x]:
-            if y != UNDEF:
-                row[y] = True
-        leq.append(tuple(row))
-    leq = tuple(leq)
-
     # Sanity: consequences of the axioms, never assumed above.
     for a in range(n):
         seen = {}
@@ -431,5 +432,5 @@ def validate(table):
     # cancellation and positivity, iff its only cells are (0, x) and (x, 0).
     atoms = tuple(x for x in range(1, n) if len(by_sum[x]) == 2)
     return CheckedEffectAlgebra(
-        table=table, leq=leq, ortho=tuple(ortho), atoms=atoms, by_sum=by_sum
+        table=table, ortho=tuple(ortho), atoms=atoms, by_sum=by_sum
     )

@@ -7,6 +7,7 @@ terminated.
 
 import json
 import math
+import sys
 
 from .core import UNDEF, CheckedEffectAlgebra, EffectAlgebraTable, validate
 
@@ -136,11 +137,11 @@ def parse(data):
     if not isinstance(doc, dict) or set(doc) != {"size", "one", "sum"}:
         raise ParseError("expected an object with keys size, one, sum")
     size, one, sum_ = doc["size"], doc["one"], doc["sum"]
-    if not isinstance(size, int) or isinstance(size, bool) or size < 2:
+    if type(size) is not int or size < 2:
         raise ParseError("size must be an integer >= 2")
     if size > MAX_SIZE:
         raise ParseError(f"size {size} is above the limit {MAX_SIZE}")
-    if not isinstance(one, int) or isinstance(one, bool) or not 0 < one < size:
+    if type(one) is not int or not 0 < one < size:
         raise ParseError("one must be an index in 1..size-1")
     if not isinstance(sum_, list) or len(sum_) != size:
         raise ParseError(f"sum must be a {size}x{size} matrix")
@@ -148,7 +149,7 @@ def parse(data):
         if not isinstance(row, list) or len(row) != size:
             raise ParseError(f"sum must be a {size}x{size} matrix")
         for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or v < UNDEF or v >= size:
+            if type(v) is not int or v < UNDEF or v >= size:
                 raise ParseError(f"sum entry {v!r} out of range")
     return EffectAlgebraTable.from_rows(size, one, sum_)
 
@@ -197,9 +198,11 @@ def from_spec(text):
 
 def _check_spec_size(size, text):
     if size > MAX_SIZE:
-        raise SpecError(
-            f"{text!r} has {size} elements, above the limit {MAX_SIZE}"
-        )
+        try:
+            count = str(size)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            count = f"at least 10**{sys.get_int_max_str_digits()}"
+        raise SpecError(f"{text!r} has {count} elements, above the limit {MAX_SIZE}")
 
 
 def _spec_int(text, whole):

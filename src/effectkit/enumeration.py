@@ -43,7 +43,8 @@ whole search of size 2.  All tasks are queued at once in size order and
 their results are read back in that order, so the parent surveys or
 writes size n while the workers search the sizes after it.  Each size's
 keys are merged and sorted, so the output is identical for every
---parallel.  A serial run searches each size whole, with no pool.
+--parallel.  A serial run maps the search over the same tasks in this
+process, with no pool.
 
 Survey: survey_row is the one scan that parses, validates and classifies
 the enumerated keys.  It counts the homogeneous and the trivial-sharp keys,
@@ -247,9 +248,9 @@ def _first_cell_tasks(n):
 def _enumerate_sizes(sizes, parallel):
     """Yield (n, sorted canonical keys) for each n of sizes, in order.
 
-    With more than one worker, one pool of min(parallel, tasks of the
-    largest size) processes searches the first-cell tasks of every size;
-    otherwise each size is searched whole in this process.  Leaving the
+    The tasks are the first-cell searches of every size.  With more than
+    one worker, one pool of min(parallel, tasks of the largest size)
+    processes runs them; otherwise they run in this process.  Leaving the
     pool's block, also by close() or an exception, terminates its workers
     without waiting for sizes no longer needed.
 
@@ -261,8 +262,6 @@ def _enumerate_sizes(sizes, parallel):
     sizes = list(sizes)
     per_size = [_first_cell_tasks(n) for n in sizes]
     workers = min(parallel, max(map(len, per_size)))
-    if workers <= 1:
-        per_size = [[(n, None)] for n in sizes]
     tasks = [task for size_tasks in per_size for task in size_tasks]
     # The platform's default start method, fork on Linux: a pool of two
     # spawned workers re-imports the package and takes about 0.05 s to

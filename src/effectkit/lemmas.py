@@ -29,11 +29,11 @@ def is_homogeneous(e):
 def verify_homogeneity_witness(e, w):
     """Re-check a witness against the table using only order primitives."""
     t = e.table.sum[w.v1][w.v2]
-    if t == UNDEF or not (e.leq[w.u][t] and e.leq[t][e.ortho[w.u]]):
+    if t == UNDEF or not (e.le(w.u, t) and e.le(t, e.ortho[w.u])):
         return False
     for u1 in range(e.size):
         for u2 in range(e.size):
-            if e.table.sum[u1][u2] == w.u and e.leq[u1][w.v1] and e.leq[u2][w.v2]:
+            if e.table.sum[u1][u2] == w.u and e.le(u1, w.v1) and e.le(u2, w.v2):
                 return False
     return True
 
@@ -48,12 +48,12 @@ def _in_hypothesis_class(e):
 
 def check_L14(e):
     """Non-sharpness of x is equivalent to x lying in some [b, b'] with b != 0."""
+    covered = set()
+    for b in e.carrier:
+        if b != 0:
+            covered.update(e.interval(b, e.ortho[b]))
     for x in e.carrier:
-        characterized = any(
-            b != 0 and e.leq[b][e.ortho[b]] and e.leq[b][x] and e.leq[x][e.ortho[b]]
-            for b in e.carrier
-        )
-        if (not e.is_sharp(x)) != characterized:
+        if (not e.is_sharp(x)) != (x in covered):
             return LemmaReport("L14", FAIL, (x,))
     return LemmaReport("L14", PASS)
 
@@ -61,7 +61,7 @@ def check_L14(e):
 def check_L15(e):
     """Every non-sharp atom lies below its orthosupplement."""
     for a in e.atoms:
-        if not e.is_sharp(a) and not e.leq[a][e.ortho[a]]:
+        if not e.is_sharp(a) and not e.le(a, e.ortho[a]):
             return LemmaReport("L15", FAIL, (a,))
     return LemmaReport("L15", PASS)
 
@@ -90,13 +90,14 @@ def check_L22(e):
     if not is_homogeneous(e):
         return LemmaReport("L22", NOT_APPLICABLE)
     for a in e.atoms:
-        ap, leq_a = e.ortho[a], e.leq[a]
-        if not leq_a[ap]:
+        ap = e.ortho[a]
+        if not e.le(a, ap):
             continue
+        above = set(e.interval(a, e.one))
         fails = []  # the first failing cell of each sum in [a, a']
         for t in e.interval(a, ap):
             for v1, v2 in e.by_sum[t]:
-                if not (leq_a[v1] or leq_a[v2]):
+                if v1 not in above and v2 not in above:
                     fails.append((v1, v2))
                     break
         if fails:
@@ -109,10 +110,9 @@ def check_L30(e):
     if not _in_hypothesis_class(e):
         return LemmaReport("L30", NOT_APPLICABLE)
     for a in e.atoms:
-        for n in range(1, e.isotropy_index(a) + 1):
-            m = e.multiple(a, n)
+        for n, m in enumerate(e.multiples(a)[1:], 1):
             for b in e.atoms:
-                if b != a and e.leq[b][m] and e.leq[m][e.ortho[b]]:
+                if b != a and e.le(b, m) and e.le(m, e.ortho[b]):
                     return LemmaReport("L30", FAIL, (a, b, n))
     return LemmaReport("L30", PASS)
 
@@ -122,9 +122,8 @@ def check_L31(e):
     if not _in_hypothesis_class(e):
         return LemmaReport("L31", NOT_APPLICABLE)
     for a in e.atoms:
-        for n in range(1, e.isotropy_index(a) + 1):
-            m = e.multiple(a, n)
-            if m != e.one and not (e.leq[a][m] and e.leq[m][e.ortho[a]]):
+        for n, m in enumerate(e.multiples(a)[1:], 1):
+            if m != e.one and not (e.le(a, m) and e.le(m, e.ortho[a])):
                 return LemmaReport("L31", FAIL, (a, n))
     return LemmaReport("L31", PASS)
 
@@ -135,10 +134,7 @@ def check_L32(e):
     if not _in_hypothesis_class(e):
         return LemmaReport("L32", NOT_APPLICABLE)
     for a in e.atoms:
-        target = e.ortho[a]
-        if not any(
-            e.multiple(a, n) == target for n in range(0, e.isotropy_index(a) + 1)
-        ):
+        if e.ortho[a] not in e.multiples(a):
             return LemmaReport("L32", FAIL, (a,))
     return LemmaReport("L32", PASS)
 
@@ -148,14 +144,11 @@ def check_L33(e):
     if not _in_hypothesis_class(e):
         return LemmaReport("L33", NOT_APPLICABLE)
     for a in e.atoms:
-        for n in range(1, e.isotropy_index(a) + 1):
-            m = e.multiple(a, n)
-            down = set(e.interval(0, m))
-            mults = {e.multiple(a, k) for k in range(n + 1)}
-            if down != mults:
-                if not any(
-                    b != a and e.leq[b][m] for b in e.atoms
-                ):
+        mults = {0}  # the multiples ka, k <= n
+        for n, m in enumerate(e.multiples(a)[1:], 1):
+            mults.add(m)
+            if set(e.interval(0, m)) != mults:
+                if not any(b != a and e.le(b, m) for b in e.atoms):
                     return LemmaReport("L33", FAIL, (a, n))
     return LemmaReport("L33", PASS)
 
@@ -165,12 +158,12 @@ def check_T36(e):
     if not _in_hypothesis_class(e):
         return LemmaReport("T36", NOT_APPLICABLE)
     for a in e.atoms:
-        for n in range(1, e.isotropy_index(a) + 1):
-            m = e.multiple(a, n)
-            if not e.leq[m][e.ortho[a]]:
+        mults = {0}  # the multiples ka, k <= n
+        for n, m in enumerate(e.multiples(a)[1:], 1):
+            mults.add(m)
+            if not e.le(m, e.ortho[a]):
                 continue
             down = set(e.interval(0, m))
-            mults = {e.multiple(a, k) for k in range(n + 1)}
             if down != mults:
                 z = min(down.symmetric_difference(mults))
                 return LemmaReport("T36", FAIL, (a, n, z))
@@ -191,9 +184,9 @@ def check_C1(e):
                 if common:
                     return LemmaReport("C1", FAIL, (a, b, min(common)))
             for x in sorted(intervals[a]):
-                for y in sorted(intervals[b]):
-                    if e.leq[x][y]:
-                        return LemmaReport("C1", FAIL, (a, b, x, y))
+                above = intervals[b].intersection(e.interval(x, e.one))
+                if above:
+                    return LemmaReport("C1", FAIL, (a, b, x, min(above)))
     return LemmaReport("C1", PASS)
 
 

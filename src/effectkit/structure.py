@@ -231,12 +231,10 @@ def decompose(e):
 
     branches = []
     for a in e.atoms:
-        length = e.isotropy_index(a)
-        if e.multiple(a, length) != e.one:
-            raise DecomposeError(
-                "TheoremViolation", ("top multiple", a, length, e.multiple(a, length))
-            )
-        mults = [e.multiple(a, k) for k in range(1, length)]
+        *mults, top = e.multiples(a)[1:]
+        length = len(mults) + 1
+        if top != e.one:
+            raise DecomposeError("TheoremViolation", ("top multiple", a, length, top))
         if set(e.interval(a, e.ortho[a])) != set(mults):
             raise DecomposeError(
                 "TheoremViolation", ("interval", a, tuple(e.interval(a, e.ortho[a])))

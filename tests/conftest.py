@@ -96,7 +96,7 @@ def small_algebras():
 
 def is_homogeneous_alt(e):
     """Independently coded variant (descending split search, no difference table)."""
-    n, s, leq, ortho = e.size, e.table.sum, e.leq, e.ortho
+    n, s, leq, ortho = e.size, e.table.sum, order_alt(e.table), e.ortho
     for u in range(n):
         for v1 in range(n):
             for v2 in range(n):
@@ -157,9 +157,16 @@ def corrupted(t, rng, cells):
 
 
 # Naive references, coded from the definitions without the indexes and
-# bitsets of src/: validation as a triple loop over every (a, b, c); atoms,
-# sharpness, intervals, covers, meet and join by search over the order
-# table leq; homogeneity by search over all splits.
+# bitsets of src/: validation as a triple loop over every (a, b, c); the
+# order read off the raw table by order_alt; atoms, sharpness, intervals,
+# covers, meet and join by search over that order; homogeneity by search
+# over all splits.
+
+
+def order_alt(t):
+    """leq[x][y] iff some c has x + c = y, read off the raw table t."""
+    n = t.size
+    return tuple(tuple(y in t.sum[x] for y in range(n)) for x in range(n))
 
 
 def first_violation_alt(t):
@@ -207,9 +214,7 @@ def first_violation_alt(t):
                 ab = s[a][b]
                 if ab == UNDEF or s[ab][c] != s[a][bc]:
                     return "NotAssociative", (a, b, c)
-    leq = tuple(
-        tuple(any(s[x][c] == y for c in range(n)) for y in range(n)) for x in range(n)
-    )
+    leq = order_alt(t)
     return None, (leq, tuple(ortho), atoms_alt(leq))
 
 
@@ -223,17 +228,19 @@ def atoms_alt(leq):
 
 def is_sharp_alt(e, x):
     """True iff no b != 0 lies below both x and x', by search."""
-    return not any(b and e.leq[b][x] and e.leq[b][e.ortho[x]] for b in e.carrier)
+    leq = order_alt(e.table)
+    return not any(b and leq[b][x] and leq[b][e.ortho[x]] for b in e.carrier)
 
 
 def interval_alt(e, x, y):
     """Every z with x <= z <= y, ascending, by search."""
-    return tuple(z for z in e.carrier if e.leq[x][z] and e.leq[z][y])
+    leq = order_alt(e.table)
+    return tuple(z for z in e.carrier if leq[x][z] and leq[z][y])
 
 
 def hasse_covers_alt(e):
     """Every (x, y) with x < y and no z strictly between, by search."""
-    n, leq = e.size, e.leq
+    n, leq = e.size, order_alt(e.table)
     lt = [[leq[x][y] and x != y for y in range(n)] for x in range(n)]
     return tuple(
         (x, y)
@@ -244,14 +251,16 @@ def hasse_covers_alt(e):
 
 
 def meet_alt(e, x, y):
-    lows = [z for z in e.carrier if e.leq[z][x] and e.leq[z][y]]
-    greatest = [g for g in lows if all(e.leq[z][g] for z in lows)]
+    leq = order_alt(e.table)
+    lows = [z for z in e.carrier if leq[z][x] and leq[z][y]]
+    greatest = [g for g in lows if all(leq[z][g] for z in lows)]
     return greatest[0] if greatest else None
 
 
 def join_alt(e, x, y):
-    ups = [z for z in e.carrier if e.leq[x][z] and e.leq[y][z]]
-    least = [g for g in ups if all(e.leq[g][z] for z in ups)]
+    leq = order_alt(e.table)
+    ups = [z for z in e.carrier if leq[x][z] and leq[y][z]]
+    least = [g for g in ups if all(leq[g][z] for z in ups)]
     return least[0] if least else None
 
 
@@ -266,7 +275,7 @@ def is_lattice_alt(e):
 def homogeneity_failures_alt(e, u):
     """Every cell (v1, v2), row-major, with u <= v1 + v2 <= u' and no
     u1 + u2 = u below (v1, v2)."""
-    n, s, leq, ortho = e.size, e.table.sum, e.leq, e.ortho
+    n, s, leq, ortho = e.size, e.table.sum, order_alt(e.table), e.ortho
     return [
         (v1, v2)
         for v1 in range(n)
@@ -296,7 +305,7 @@ def first_L22_failure_alt(e):
     """(a, v1, v2) for the first atom a <= a' in e.atoms and the first cell
     in row-major order whose defined sum lies in [a, a'] while a lies below
     neither summand, or None; a scan over all n**2 cells per atom."""
-    n, s, leq, ortho = e.size, e.table.sum, e.leq, e.ortho
+    n, s, leq, ortho = e.size, e.table.sum, order_alt(e.table), e.ortho
     for a in e.atoms:
         ap = ortho[a]
         if not leq[a][ap]:

@@ -219,7 +219,16 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("spec", ["chain:1000000000", "prod:chain:1000,chain:1000"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "chain:1000000000",
+        "prod:chain:1000,chain:1000",
+        # sizes with more digits than int-to-str conversion allows
+        pytest.param("hsum:" + ",".join(["9" * 4299] * 20), id="hsum-4300-digit-size"),
+        pytest.param("prod:" + ",".join(["chain:1"] * 15000), id="prod-2**15000-size"),
+    ],
+)
 def test_oversize_spec_exits_2_at_once(spec):
     # under a 1 GiB address-space limit and a timeout, so that a spec built
     # before the size check fails this test instead of exhausting memory

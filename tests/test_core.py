@@ -27,6 +27,7 @@ from conftest import (
     join_alt,
     meet_alt,
     non_homogeneous_fixture,
+    order_alt,
     relabelled,
     small_algebras,
 )
@@ -291,6 +292,17 @@ def test_cancellation_and_positivity(e):
                     assert c == b
 
 
+def test_multiples_match_multiple(reference_algebras):
+    for e in reference_algebras:
+        for x in range(1, e.size):
+            mults = e.multiples(x)
+            assert len(mults) - 1 == e.isotropy_index(x)
+            assert mults == tuple(e.multiple(x, n) for n in range(len(mults)))
+            assert e.multiple(x, len(mults)) is None
+    with pytest.raises(ValueError):
+        ek.chain(3).multiples(0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_algebras(), st.integers(0, 5), st.integers(0, 5))
 def test_multiple_additivity(e, m, n):
@@ -353,7 +365,8 @@ def validate_outcome(t):
         e = validate(t)
     except ValidationError as err:
         return err.kind, err.witness
-    return None, (e.leq, e.ortho, e.atoms)
+    leq = tuple(tuple(e.le(x, y) for y in e.carrier) for x in e.carrier)
+    return None, (leq, e.ortho, e.atoms)
 
 
 def differential_tables():
@@ -447,14 +460,17 @@ def test_lattice_meet_join_match_naive_search(reference_algebras):
 
 
 def assert_order_primitives_match_search(e):
-    """is_sharp, sharp_set, interval over all pairs, atoms and hasse_covers
-    against the searches over leq."""
+    """le and interval over all pairs, is_sharp, sharp_set, atoms and
+    hasse_covers against the order read off the raw table and the
+    searches over it."""
+    leq = order_alt(e.table)
     sharp = tuple(x for x in e.carrier if is_sharp_alt(e, x))
     assert e.sharp_set == sharp
     assert tuple(x for x in e.carrier if e.is_sharp(x)) == sharp
-    assert e.atoms == atoms_alt(e.leq)
+    assert e.atoms == atoms_alt(leq)
     for x in e.carrier:
         for y in e.carrier:
+            assert e.le(x, y) == leq[x][y], (x, y)
             assert e.interval(x, y) == interval_alt(e, x, y), (x, y)
     assert e.hasse_covers() == hasse_covers_alt(e)
 

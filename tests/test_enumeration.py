@@ -37,8 +37,8 @@ KEYS_SHA256_TO_8 = "24ae786e1883e3ea88f250f5e6bfd575c37d57f2f82bde18efa4da28e7e9
 KEYS_SHA256_TO_9 = "1bdb445ee3926590f744d2eb627f21758670af8dbb027dc4d3c57849693d354d"
 # sha256 of the concatenated keys of size 10 alone
 KEYS_SHA256_AT_10 = "267e597e9ce5fe350e4570e53b365fc46ef21d7ba393db2654080391edcbdee2"
-# calls of the prefix test in a serial search, one per node reached: the
-# search's cuts, which a change to propagation or pruning moves
+# calls of the prefix test in a search of a whole size, one per node
+# reached: the search's cuts, which a change to propagation or pruning moves
 PREFIX_TESTS = {2: 1, 3: 2, 4: 7, 5: 25, 6: 102, 7: 268, 8: 839}
 PREFIX_TESTS_AT_9 = 2105
 PREFIX_TESTS_AT_10 = 6118
@@ -140,8 +140,9 @@ def test_key_bytes_sizes_2_to_8_are_pinned():
     assert _keys_sha256(enumerate_all(n) for n in range(2, 9)) == KEYS_SHA256_TO_8
 
 
-def _counted_enumeration(monkeypatch, n):
-    """enumerate_all(n) run serially, and the number of prefix tests made."""
+def _counted_search(monkeypatch, n):
+    """Size n's keys from one search of the whole size, its first cell not
+    split, and the number of prefix tests made."""
     real = en._resume_relabelings
     calls = 0
 
@@ -151,16 +152,16 @@ def _counted_enumeration(monkeypatch, n):
         return real(S, m, states)
 
     monkeypatch.setattr(en, "_resume_relabelings", counting)
-    return enumerate_all(n), calls
+    return sorted(en._enumeration_worker((n, None))), calls
 
 
 @pytest.mark.parametrize("n,count", sorted(PREFIX_TESTS.items()))
 def test_prefix_test_counts_are_pinned(monkeypatch, n, count):
-    assert _counted_enumeration(monkeypatch, n)[1] == count
+    assert _counted_search(monkeypatch, n)[1] == count
 
 
 def test_size_9_count_and_hypothesis_class(monkeypatch):
-    keys, prefix_tests = _counted_enumeration(monkeypatch, 9)
+    keys, prefix_tests = _counted_search(monkeypatch, 9)
     assert prefix_tests == PREFIX_TESTS_AT_9
     assert len(keys) == 60
     row = survey_row(9, keys)
@@ -168,10 +169,12 @@ def test_size_9_count_and_hypothesis_class(monkeypatch):
     assert row.counterexamples == 0
     smaller = [enumerate_all(n) for n in range(2, 9)]
     assert _keys_sha256([*smaller, keys]) == KEYS_SHA256_TO_9
+    monkeypatch.undo()
+    assert enumerate_all(9) == keys
 
 
 def test_size_10_count_and_hypothesis_class(monkeypatch):
-    keys, prefix_tests = _counted_enumeration(monkeypatch, 10)
+    keys, prefix_tests = _counted_search(monkeypatch, 10)
     assert prefix_tests == PREFIX_TESTS_AT_10
     assert len(keys) == 172
     assert _keys_sha256([keys]) == KEYS_SHA256_AT_10
@@ -197,7 +200,7 @@ def test_carried_states_equal_a_start_from_the_root_at_size_7(monkeypatch):
         return got
 
     monkeypatch.setattr(en, "_resume_relabelings", checked)
-    assert len(enumerate_all(7)) == GOLDEN_COUNTS[7]
+    assert len(_enumerate_tables(7)) == GOLDEN_COUNTS[7]
     assert nodes == PREFIX_TESTS[7]
 
 

@@ -35,6 +35,7 @@ from conftest import (
     homogeneity_failures_alt,
     is_homogeneous_alt,
     non_homogeneous_fixture,
+    order_alt,
     relabelled,
     small_algebras,
 )
@@ -103,7 +104,7 @@ def split_reaches_past_u_prime(e):
     """True iff some u <= u' splits as u1 + u2 = u with an element other
     than the unit above a summand but not below u'.  homogeneity_witness
     builds its split masks over [0, u'] only, so it skips that element."""
-    leq, ortho = e.leq, e.ortho
+    leq, ortho = order_alt(e.table), e.ortho
     for u in e.carrier:
         up = ortho[u]
         if not leq[u][up]:
