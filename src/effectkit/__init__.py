@@ -40,7 +40,6 @@ from .lemmas import (
 from .structure import (
     ChainDecomposition,
     DecomposeError,
-    canonical_form,
     decompose,
     relabel,
     verify_C2_C3,
@@ -63,7 +62,6 @@ __all__ = [
     "ValidationError",
     "analyze",
     "boolean_diamond",
-    "canonical_form",
     "chain",
     "decompose",
     "direct_product",

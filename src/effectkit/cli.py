@@ -9,6 +9,7 @@ leading constructor name.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -16,13 +17,7 @@ import sys
 
 from .core import ValidationError, validate
 from .corpus import ParseError, SpecError, from_spec, is_spec_string, parse, serialize
-from .enumeration import (
-    DEFAULT_MAX_SIZE,
-    SURVEY_COLUMNS,
-    SizeError,
-    survey,
-    write_enumeration,
-)
+from .enumeration import DEFAULT_MAX_SIZE, SizeError, survey, survey_tsv, write_enumeration
 from .lemmas import analyze, lemma_suite, render_reports
 from .structure import DecomposeError, decompose
 
@@ -113,12 +108,10 @@ def cmd_enumerate(args):
     else:
         rows = survey(args.max_size, max_size=cap, parallel=args.parallel)
     if args.fmt == "json":
-        doc = [{c: getattr(r, c) for c in SURVEY_COLUMNS} for r in rows]
+        doc = [dataclasses.asdict(r) for r in rows]
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     else:
-        sys.stdout.write("\t".join(SURVEY_COLUMNS) + "\n")
-        for row in rows:
-            sys.stdout.write(row.as_tsv() + "\n")
+        sys.stdout.write(survey_tsv(rows))
     return EXIT_OK
 
 

@@ -31,6 +31,16 @@ class SpecError(ValueError):
     """Malformed compact constructor spec string."""
 
 
+# A SpecError quotes at most this many characters of the spec, then "...",
+# so the error about a huge spec is still one short line.
+SPEC_QUOTE_CHARS = 100
+
+
+def _quote(text):
+    cut = text[:SPEC_QUOTE_CHARS]
+    return repr(cut) if cut == text else repr(cut) + "..."
+
+
 def chain(n):
     """Total-order algebra {0, a, 2a, ..., na = 1}; ka + ma defined iff k+m <= n."""
     if n < 1:
@@ -172,7 +182,7 @@ def from_spec(text):
     name, _, rest = text.partition(":")
     if name == "diamond":
         if rest:
-            raise SpecError(f"diamond takes no arguments: {text!r}")
+            raise SpecError(f"diamond takes no arguments: {_quote(text)}")
         return boolean_diamond()
     if name == "chain":
         length = _spec_int(rest, text)
@@ -185,7 +195,7 @@ def from_spec(text):
     if name == "prod":
         parts = _split_prod(rest, text)
         if len(parts) < 2:
-            raise SpecError(f"prod needs at least two factors: {text!r}")
+            raise SpecError(f"prod needs at least two factors: {_quote(text)}")
         sizes = [4 if p == "diamond" else _spec_int(p[len("chain:"):], p) + 1
                  for p in parts]
         _check_spec_size(math.prod(sizes), text)
@@ -193,7 +203,7 @@ def from_spec(text):
         for p in parts[1:]:
             result = direct_product(result, from_spec(p))
         return result
-    raise SpecError(f"unknown constructor {name!r}")
+    raise SpecError(f"unknown constructor {_quote(name)}")
 
 
 def _check_spec_size(size, text):
@@ -202,16 +212,16 @@ def _check_spec_size(size, text):
             count = str(size)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             count = f"at least 10**{sys.get_int_max_str_digits()}"
-        raise SpecError(f"{text!r} has {count} elements, above the limit {MAX_SIZE}")
+        raise SpecError(f"{_quote(text)} has {count} elements, above the limit {MAX_SIZE}")
 
 
 def _spec_int(text, whole):
     try:
         value = int(text)
     except ValueError:
-        raise SpecError(f"expected an integer in {whole!r}") from None
+        raise SpecError(f"expected an integer in {_quote(whole)}") from None
     if value < 1:
-        raise SpecError(f"lengths must be >= 1 in {whole!r}")
+        raise SpecError(f"lengths must be >= 1 in {_quote(whole)}")
     return value
 
 
@@ -222,5 +232,5 @@ def _split_prod(rest, whole):
         if tok.startswith("chain:") or tok == "diamond":
             parts.append(tok)
         else:
-            raise SpecError(f"prod factors must be chain:N or diamond: {whole!r}")
+            raise SpecError(f"prod factors must be chain:N or diamond: {_quote(whole)}")
     return parts

@@ -17,12 +17,11 @@ elements, so exactly one labeled table per class survives.  Minimality
 is tested on every partial table the search reaches: if a relabeling
 makes its decided prefix (the cells before the first undecided one)
 smaller, no completion can be minimal and the subtree is cut.  On a
-complete table the same test is the full minimality test.  The unit
-at 1 and the integer order of cells are canonical_form's, and
-canonical_form descends by the same test, so an emitted table is its own
-canonical form and is keyed by its serialization.  The tests compare the
-keys with every labeled table of the unfiltered search keyed by an
-independent scan over all relabelings.
+complete table the same test is the full minimality test.  So each
+emitted table is the least relabeling of its class, with the unit at 1
+and cells compared as integers in row-major order, and is keyed by its
+serialization.  The tests pin that with their scan oracle, which keys a
+table by scanning all of its relabelings.
 
 The test is carried down the search rather than started afresh at every
 node.  Each node resumes its parent's live states, the partial
@@ -61,9 +60,10 @@ from multiprocessing import Pool
 from .core import UNDEF, EffectAlgebraTable, validate
 from .corpus import parse, serialize
 from .lemmas import PASS, has_trivial_sharps, is_homogeneous
-from .structure import UNASSIGNED, _resume_relabelings, _root_states, verify_C2_C3
+from .structure import verify_C2_C3
 
 DEFAULT_MAX_SIZE = 10
+UNASSIGNED = -2  # a cell the search has not decided yet
 
 SURVEY_COLUMNS = (
     "size",
@@ -101,6 +101,133 @@ class SurveyRow:
 def _snapshot(S, n):
     rows = tuple(tuple(S[i * n : (i + 1) * n]) for i in range(n))
     return EffectAlgebraTable(n, 1, rows)
+
+
+def _root_states(n):
+    """The live states of a table with no interior cell decided: the
+    relabeling that fixes only 0 and the unit 1, stopped at cell (2, 2).
+    Size 2 has no interior cell and no other relabeling, so none."""
+    return [(bytes([0, 1] + [0] * (n - 2)), 2, 2)] if n > 2 else []
+
+
+def _resume_relabelings(S, n, states):
+    """Resume the comparisons of the live states on the flat table S
+    (UNASSIGNED marks undecided cells).  Returns (witness, None) if a
+    relabeling perm[old] = new fixing 0 and the unit 1 makes the decided
+    prefix of S lexicographically smaller, else (None, S's live states).
+
+    Cells are compared in row-major order as integers (undefined -1, the
+    unit 1, interior elements 2..n-1), the order the search minimises.
+    Rows 0 and 1 and columns 0 and 1 agree under every such relabeling, so
+    comparisons start at cell (2, 2).  A comparison stops with no verdict
+    at the first cell (u, w) that is undecided in S or in the relabeled
+    table; the live state (bytes(order), u, w), order[new] = old with 0 for
+    a new index not chosen yet, records where.  A relabeling proved larger
+    is dropped, as is a complete tie, which is an automorphism.
+
+    Cells decided in S stay decided, with the same value, in every table
+    that extends S.  So on such a table the comparisons that states left
+    undecided go on from their stop cells, a dropped relabeling stays
+    larger, and the verdict and live states equal those of a start from
+    _root_states.  A state whose stop cell is still undecided, in S or in
+    the relabeled table, would stop there again, and is kept unchanged
+    without rebuilding its relabeling.
+
+    Relabeled row 2 is built column by column, choosing the old element
+    for each new index as it is needed.  A cell whose value is not placed
+    yet can be made smaller (placed at a free index below the current
+    cell: done), must equal the current cell (which places it), or can
+    only be larger (dropped).  Once row 2 is equal the relabeling is
+    complete and the later rows are compared directly.  Indices still free
+    when a witness is found are filled in any order, as no cell compared so
+    far involves them.
+    """
+    live = []
+    # the relabeling being resumed; perm, its inverse, is kept only while
+    # row 2 is built, as a complete relabeling is not changed
+    order = perm = None
+
+    def stop(u, w):
+        live.append((bytes(order), u, w))
+        return False
+
+    def later_rows(u, w):
+        for u in range(u, n):
+            row_old = order[u] * n
+            base = u * n
+            for w in range(w, n):
+                cur = S[base + w]
+                v = S[row_old + order[w]]
+                if cur == UNASSIGNED or v == UNASSIGNED:
+                    return stop(u, w)
+                pv = v if v < 0 else order.index(v)
+                if pv != cur:
+                    return pv < cur
+            w = 2  # the next row starts at column 2
+        return False
+
+    def row2_from(w):
+        if w == n:
+            return later_rows(3, 2)
+        if S[2 * n + w] == UNASSIGNED:
+            return stop(2, w)
+        if order[w]:
+            return cell(w)
+        for x in range(2, n):
+            if not perm[x]:
+                order[w], perm[x] = x, w
+                if cell(w):
+                    return True
+                order[w] = perm[x] = 0
+        return False
+
+    def cell(w):
+        v = S[order[2] * n + order[w]]
+        cur = S[2 * n + w]
+        if v == UNASSIGNED:
+            return stop(2, w)
+        if v < 0 or perm[v]:
+            pv = v if v < 0 else perm[v]
+            if pv != cur:
+                return pv < cur
+            return row2_from(w + 1)
+        # v is not placed yet: it takes a free index, and all are above w
+        # (so above an undefined cell and the unit)
+        if cur <= 1:
+            return False
+        # the least free index decides: below cur the cell is smaller, at
+        # cur it ties, above cur every choice is larger
+        for p in range(w + 1, cur + 1):
+            if not order[p]:
+                order[p], perm[v] = v, p
+                if p < cur or row2_from(w + 1):
+                    return True
+                order[p] = perm[v] = 0
+                return False
+        return False
+
+    for state in states:
+        o, u, w = state
+        # the fast path: a stop cell still undecided stops the state again
+        if S[u * n + w] == UNASSIGNED or o[w] and o[u] and S[o[u] * n + o[w]] == UNASSIGNED:
+            live.append(state)
+            continue
+        if u > 2:
+            # a complete relabeling: compared in place, as the bytes it is
+            order = o
+            found = later_rows(u, w)
+        else:
+            order = list(o)
+            perm = [0] * n
+            for new, old in enumerate(o):
+                if old:
+                    perm[old] = new
+            found = row2_from(w)
+        if found:
+            placed = {old: new for new, old in enumerate(order) if old}
+            free = (p for p in range(2, n) if not order[p])
+            return [0] + [placed.get(x) or next(free) for x in range(1, n)], None
+    return None, live
 
 
 def _enumerate_tables(n, first_values=None, leaf_filter=True):
@@ -257,8 +384,9 @@ def _enumerate_sizes(sizes, parallel):
     The duplicate guard catches the same labeled table emitted twice, for
     example by overlapping tasks.  It cannot catch a faulty minimality
     test, whose extra leaves are distinct labeled tables.  The tests catch
-    that: the golden counts, test_emitted_tables_are_their_own_canonical_form,
-    the sha256 pins of the keys and the filter-off differential test."""
+    that: the golden counts, the scan oracle's check that every emitted
+    table is its own least relabeling, the sha256 pins of the keys and the
+    filter-off differential test."""
     sizes = list(sizes)
     per_size = [_first_cell_tasks(n) for n in sizes]
     workers = min(parallel, max(map(len, per_size)))
@@ -278,9 +406,9 @@ def _enumerate_sizes(sizes, parallel):
 
 def enumerate_all(n, max_size=None, parallel=1):
     """Canonical keys of every isomorphism class of size-n effect algebras,
-    sorted; deterministic under any parallel.  The search emits canonical
-    labelings, so each key is the serialization of an emitted table and no
-    canonical_form is called."""
+    sorted; deterministic under any parallel.  Each key is the serialization
+    of an emitted table, the least relabeling of its class, as the tests'
+    scan oracle pins."""
     _check_sizes(n, max_size)
     ((_, keys),) = _enumerate_sizes([n], parallel)
     return keys
@@ -312,6 +440,12 @@ def survey_row(n, keys):
     )
 
 
+def survey_tsv(rows):
+    """The text of survey.tsv: the SURVEY_COLUMNS header, one line per row."""
+    lines = ["\t".join(SURVEY_COLUMNS), *(row.as_tsv() for row in rows)]
+    return "".join(line + "\n" for line in lines)
+
+
 def survey(max_n, max_size=None, parallel=1):
     """One row per size 2..max_n aggregating the structure-theorem flags."""
     _check_sizes(max_n, max_size)
@@ -333,7 +467,5 @@ def write_enumeration(out_dir, max_n, max_size=None, parallel=1):
                     fh.write(key)
             rows.append(survey_row(n, keys))
     with open(os.path.join(out_dir, "survey.tsv"), "w", encoding="ascii") as fh:
-        fh.write("\t".join(SURVEY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(row.as_tsv() + "\n")
+        fh.write(survey_tsv(rows))
     return rows

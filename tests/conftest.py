@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -116,6 +117,25 @@ def is_homogeneous_alt(e):
                 if not found:
                     return False
     return True
+
+
+def scan_canonical(t):
+    """Reference isomorphism key of a table: scan the (n-2)! relabelings
+    fixing 0 that put the unit at 1, keep the least integer tuple (the sum
+    table row by row, undefined as -1) and serialize it."""
+    n, s = t.size, t.sum
+    rest = [y for y in range(1, n) if y != t.one]
+    best = None
+    for tail in permutations(rest):
+        order = (0, t.one, *tail)
+        perm = [0] * n
+        for new, old in enumerate(order):
+            perm[old] = new
+        flat = [UNDEF if s[oi][oj] < 0 else perm[s[oi][oj]] for oi in order for oj in order]
+        if best is None or flat < best:
+            best = flat
+    rows = [best[i * n : (i + 1) * n] for i in range(n)]
+    return ek.serialize(ek.EffectAlgebraTable.from_rows(n, 1, rows))
 
 
 def relabelled(t, rng):

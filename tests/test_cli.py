@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +172,8 @@ def test_enumerate_out_dir_and_parallel_determinism(tmp_path, capsys):
         assert not multiprocessing.active_children()
     assert len(runs[0][1]) == 1 + sum((1, 1, 3, 4, 10, 14, 40))
     assert all(run == runs[0] for run in runs)
+    stdout, tree = runs[0]
+    assert stdout.encode("ascii") == tree[Path("survey.tsv")]
 
 
 @pytest.mark.parametrize("size", ["1", "0", "-3"])
@@ -242,6 +245,8 @@ def test_oversize_spec_exits_2_at_once(spec):
     assert proc.returncode == 2
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("parse error") and "limit" in err[0]
+    # the spec is quoted only up to a fixed prefix
+    assert len(err[0]) < 200
 
 
 def test_oversize_table_file_exits_2_at_once(tmp_path):

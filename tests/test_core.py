@@ -352,7 +352,14 @@ def test_imports_are_at_module_level_and_acyclic():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = [s for s in ast.walk(fn) if isinstance(s, (ast.Import, ast.ImportFrom))]
                 assert not inner, f"{name}.{fn.name} imports at line {inner[0].lineno}"
-    graph = {name: _package_imports(tree, trees) - {name} for name, tree in trees.items()}
+        # a module's `_`-prefixed names are its own: no other module imports them
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom) and (
+                sub.level or (sub.module or "").split(".")[0] == "effectkit"
+            ):
+                private = [a.name for a in sub.names if a.name.startswith("_")]
+                assert not private, f"{name} imports {private} at line {sub.lineno}"
+    graph ={name: _package_imports(tree, trees) - {name} for name, tree in trees.items()}
     while graph:
         leaves = [m for m, deps in graph.items() if not deps & graph.keys()]
         assert leaves, f"import cycle among {sorted(graph)}"

@@ -17,19 +17,19 @@ import effectkit.enumeration as en
 from effectkit.cli import main
 from effectkit.core import UNDEF, EffectAlgebraTable, ValidationError, validate
 from effectkit.enumeration import (
+    UNASSIGNED,
     SizeTooLarge,
     _enumerate_tables,
+    _resume_relabelings,
+    _root_states,
     enumerate_all,
     survey,
     survey_row,
     write_enumeration,
 )
 from effectkit.lemmas import has_trivial_sharps, is_homogeneous
-from effectkit.structure import (
-    UNASSIGNED, _resume_relabelings, _root_states, _smaller_relabeling
-)
 
-from conftest import chain_multisets, partitions, relabelled
+from conftest import chain_multisets, partitions, scan_canonical
 
 GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
 # sha256 of the concatenated keys of sizes 2..8 and 2..9
@@ -56,7 +56,7 @@ def fixture_script():
 
 def brute_force_classes(n):
     """Independent oracle: every symmetric cell assignment, filtered by the
-    axiom checker, grouped by an independently coded canonical key."""
+    axiom checker, keyed by the scan oracle."""
     one = n - 1
     cells = [(i, j) for i in range(1, one) for j in range(i, one)]
     domains = [
@@ -74,57 +74,13 @@ def brute_force_classes(n):
             validate(t)
         except ValidationError:
             continue
-        keys.add(_naive_canonical(t))
+        keys.add(scan_canonical(t))
     return keys
-
-
-def _naive_canonical(t):
-    n = t.size
-    best = None
-    for tail in permutations(range(1, n)):
-        order = (0,) + tail
-        perm = [0] * n
-        for new, old in enumerate(order):
-            perm[old] = new
-        flat = [perm[t.one]]
-        for oi in order:
-            for oj in order:
-                v = t.sum[oi][oj]
-                flat.append(v if v == UNDEF else perm[v])
-        key = tuple(flat)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _scan_canonical(t):
-    """Reference canonical key: scan the (n-2)! relabelings fixing 0 that
-    put the unit at 1, keep the least integer tuple (the sum table row by
-    row, undefined as -1) and serialize it."""
-    n, s = t.size, t.sum
-    rest = [y for y in range(1, n) if y != t.one]
-    best = None
-    for tail in permutations(rest):
-        order = (0, t.one, *tail)
-        perm = [0] * n
-        for new, old in enumerate(order):
-            perm[old] = new
-        flat = [UNDEF if s[oi][oj] < 0 else perm[s[oi][oj]] for oi in order for oj in order]
-        if best is None or flat < best:
-            best = flat
-    rows = [best[i * n : (i + 1) * n] for i in range(n)]
-    return ek.serialize(EffectAlgebraTable.from_rows(n, 1, rows))
-
-
-def _as_naive_key(canonical_bytes):
-    t = ek.parse(canonical_bytes)
-    return _naive_canonical(t)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_against_independent_brute_force(n):
-    fast = {_as_naive_key(k) for k in enumerate_all(n)}
-    assert fast == brute_force_classes(n)
+    assert set(enumerate_all(n)) == brute_force_classes(n)
 
 
 @pytest.mark.parametrize("n,count", sorted(GOLDEN_COUNTS.items()))
@@ -196,7 +152,6 @@ def test_carried_states_equal_a_start_from_the_root_at_size_7(monkeypatch):
         nodes += 1
         got = real(S, m, states)
         assert got == real(S, m, _root_states(m))
-        assert (got[0] is None) == (_smaller_relabeling(S, m) is None)
         return got
 
     monkeypatch.setattr(en, "_resume_relabelings", checked)
@@ -209,14 +164,14 @@ def test_emitted_tables_are_minimal_and_pairwise_non_isomorphic(n):
     tables = _enumerate_tables(n)
     for t in tables:
         flat = [v for row in t.sum for v in row]
-        assert _smaller_relabeling(flat, n) is None
-    assert len({_scan_canonical(t) for t in tables}) == len(tables)
+        assert _resume_relabelings(flat, n, _root_states(n))[0] is None
+    assert len({scan_canonical(t) for t in tables}) == len(tables)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_emitted_tables_are_their_own_canonical_form(n):
     for t in _enumerate_tables(n):
-        assert ek.serialize(t) == _scan_canonical(t)
+        assert ek.serialize(t) == scan_canonical(t)
 
 
 def _naive_prefix_compare(S, n, order):
@@ -258,7 +213,7 @@ def test_prefix_test_matches_naive_reference(n):
                 for i, j in cells[cut:]:
                     if (i, j) not in keep:
                         S[i * n + j] = S[j * n + i] = UNASSIGNED
-                got = _smaller_relabeling(S, n)
+                got = _resume_relabelings(S, n, _root_states(n))[0]
                 assert (got is not None) == _naive_smaller_prefix(S, n)
                 if got is not None:
                     _assert_witness(S, n, got)
@@ -316,16 +271,16 @@ def test_carried_states_match_naive_reference(n):
 def test_size4_classes_are_the_named_three():
     keys = set(enumerate_all(4))
     named = {
-        ek.canonical_form(ek.chain(3)),
-        ek.canonical_form(ek.boolean_diamond()),
-        ek.canonical_form(ek.horizontal_sum([ek.chain(2), ek.chain(2)])),
+        scan_canonical(ek.chain(3).table),
+        scan_canonical(ek.boolean_diamond().table),
+        scan_canonical(ek.horizontal_sum([ek.chain(2), ek.chain(2)]).table),
     }
     assert keys == named
 
 
 def test_size3_forced_table():
     (key,) = enumerate_all(3)
-    assert key == ek.canonical_form(ek.chain(2))
+    assert key == scan_canonical(ek.chain(2).table)
 
 
 def test_all_emitted_tables_validate():
@@ -345,38 +300,18 @@ def test_isomorph_freeness():
 def test_known_classes_are_found():
     for n in range(2, 8):
         keys = set(enumerate_all(n))
-        assert ek.canonical_form(ek.chain(n - 1)) in keys
+        assert scan_canonical(ek.chain(n - 1).table) in keys
         for lengths in chain_multisets(n - 2):
             if sum(l - 1 for l in lengths) == n - 2:
                 h = ek.horizontal_sum([ek.chain(l) for l in lengths])
-                assert ek.canonical_form(h) in keys
+                assert scan_canonical(h.table) in keys
 
 
 def test_leaf_filter_differential():
     # every labeled table of the unfiltered search, keyed by the scan
     for n in range(2, 8):
-        keys = {_scan_canonical(t) for t in _enumerate_tables(n, leaf_filter=False)}
+        keys = {scan_canonical(t) for t in _enumerate_tables(n, leaf_filter=False)}
         assert sorted(keys) == enumerate_all(n)
-
-
-def test_canonical_form_matches_the_scan():
-    rng = random.Random(20261018)
-    for n in range(2, 9):
-        for key in enumerate_all(n):
-            for _ in range(3):
-                t = relabelled(ek.parse(key), rng)
-                assert ek.canonical_form(t) == _scan_canonical(t) == key
-
-
-@pytest.mark.parametrize("spec", ["hsum:3,4,5", "hsum:4,4,4"])
-def test_canonical_form_invariance_at_size_11(spec):
-    # (n - 2)! = 362,880 relabelings: beyond the scan's reach in a test
-    e = ek.from_spec(spec)
-    assert e.size == 11
-    key = ek.canonical_form(e)
-    rng = random.Random(11)
-    for _ in range(3):
-        assert ek.canonical_form(relabelled(e.table, rng)) == key
 
 
 def test_duplicate_guard_survives_optimize():
@@ -554,7 +489,7 @@ def test_first_non_homogeneous_key_is_the_smallest_fixture(e6):
     assert first.size == 6
     assert first is next(e for e in scan if not is_homogeneous(e) and has_trivial_sharps(e))
     assert first is next(e for e in scan if not e.is_lattice)
-    assert ek.canonical_form(first) == ek.canonical_form(e6)
+    assert scan_canonical(first.table) == scan_canonical(e6.table)
     # nothing smaller: sizes 2..5 are all homogeneous lattices
     assert all(is_homogeneous(e) and e.is_lattice for e in scan if e.size < 6)
 
@@ -574,7 +509,7 @@ def test_persisted_fixture_matches_search(fixture_script):
     data = fixture_bytes("smallest_non_homogeneous_trivial_sharp.json")
     assert fixture_script.fixtures()["smallest_non_homogeneous_trivial_sharp.json"] == data
     e = validate(ek.parse(data))
-    assert ek.canonical_form(e) == data
+    assert scan_canonical(e.table) == data
     assert has_trivial_sharps(e) and not is_homogeneous(e)
     w = ek.homogeneity_witness(e)
     assert ek.lemmas.verify_homogeneity_witness(e, w)
