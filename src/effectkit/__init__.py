@@ -42,7 +42,6 @@ from .structure import (
     DecomposeError,
     decompose,
     relabel,
-    verify_C2_C3,
 )
 
 __all__ = [
@@ -76,6 +75,5 @@ __all__ = [
     "serialize",
     "survey",
     "validate",
-    "verify_C2_C3",
     "write_enumeration",
 ]

@@ -33,24 +33,6 @@ class HomogeneityWitness:
     v2: int
 
 
-PASS = "Pass"
-FAIL = "Fail"
-NOT_APPLICABLE = "NotApplicable"
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma_id: str
-    verdict: str
-    witness: tuple | None = None
-
-    def render(self):
-        line = f"{self.lemma_id} {self.verdict}"
-        if self.witness is not None:
-            line += f" witness={self.witness}"
-        return line
-
-
 class ValidationError(Exception):
     """An axiom violation, with the first offending index tuple as witness."""
 
@@ -103,11 +85,6 @@ class CheckedEffectAlgebra:
     def carrier(self):
         return range(self.table.size)
 
-    def sum_of(self, x, y):
-        """Partial sum: element index, or None when undefined."""
-        v = self.table.sum[x][y]
-        return None if v == UNDEF else v
-
     def le(self, x, y):
         """True iff x <= y, that is, some c has x + c = y."""
         return self._bounds[0][y] >> x & 1 == 1
@@ -116,16 +93,6 @@ class CheckedEffectAlgebra:
         """All z with x <= z <= y, ascending; empty when x is not below y."""
         down, up, _, _ = self._bounds
         return _bits(up[x] & down[y])
-
-    def multiple(self, x, n):
-        """n-fold sum of x (0 for n = 0), or None once a partial sum is undefined."""
-        acc = 0
-        row_of = self.table.sum
-        for _ in range(n):
-            acc = row_of[acc][x]
-            if acc == UNDEF:
-                return None
-        return acc
 
     def multiples(self, x):
         """(0, x, 2x, ..., kx): every defined multiple of x, k its isotropy index."""

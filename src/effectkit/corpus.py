@@ -31,9 +31,14 @@ class SpecError(ValueError):
     """Malformed compact constructor spec string."""
 
 
-# A SpecError quotes at most this many characters of the spec, then "...",
-# so the error about a huge spec is still one short line.
+# A SpecError quotes at most this many characters of the spec, and a
+# ParseError as many of a rejected cell's repr, then "...", so the error
+# about a huge spec or cell is still one short line.
 SPEC_QUOTE_CHARS = 100
+
+
+def _clip(text):
+    return text if len(text) <= SPEC_QUOTE_CHARS else text[:SPEC_QUOTE_CHARS] + "..."
 
 
 def _quote(text):
@@ -160,7 +165,7 @@ def parse(data):
             raise ParseError(f"sum must be a {size}x{size} matrix")
         for v in row:
             if type(v) is not int or v < UNDEF or v >= size:
-                raise ParseError(f"sum entry {v!r} out of range")
+                raise ParseError(f"sum entry {_clip(repr(v))} out of range")
     return EffectAlgebraTable.from_rows(size, one, sum_)
 
 

@@ -1,19 +1,38 @@
 """Homogeneity decision and executable oracles for the structure statements.
 
-Every oracle quantifies a statement over a concrete finite algebra and
-reports Pass, Fail (with a witness tuple that re-checks as a genuine
-violation) or NotApplicable when the statement's standing hypotheses do
-not hold.  Statement ids: L14, L15, L20, L22, L30, L31, L32, L33, T36,
-C1, C2, C3.
+Each statement L14, L15, L20, L22, L30, L31, L32, L33, T36, C1, C2, C3 has
+a body check_<id>(e), which quantifies it over a concrete finite algebra
+and returns the first failure's witness tuple, or None when it holds.  A
+body assumes its statement's standing hypotheses and never tests them.
+STATEMENTS maps each id to its body, in suite order, and HYPOTHESES maps
+an id to its standing hypothesis: trivial sharps for L20, homogeneity for
+L22, both for L30 onwards and none for L14 and L15.  report() is the one
+guard: NotApplicable when the hypothesis does not hold, else Pass, or Fail
+with the body's witness, which re-checks as a genuine violation.
 """
 
 from dataclasses import dataclass
 
-# re-exported: HomogeneityWitness, LemmaReport and the verdicts
-from .core import FAIL, NOT_APPLICABLE, PASS, UNDEF, HomogeneityWitness, LemmaReport
-from .structure import verify_C2_C3
+# re-exported: HomogeneityWitness
+from .core import UNDEF, HomogeneityWitness
+from .structure import DecomposeError, decompose
 
-SUITE_ORDER = ("L14", "L15", "L20", "L22", "L30", "L31", "L32", "L33", "T36", "C1", "C2", "C3")
+PASS = "Pass"
+FAIL = "Fail"
+NOT_APPLICABLE = "NotApplicable"
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    lemma_id: str
+    verdict: str
+    witness: tuple | None = None
+
+    def render(self):
+        line = f"{self.lemma_id} {self.verdict}"
+        if self.witness is not None:
+            line += f" witness={self.witness}"
+        return line
 
 
 def homogeneity_witness(e):
@@ -54,29 +73,27 @@ def check_L14(e):
             covered.update(e.interval(b, e.ortho[b]))
     for x in e.carrier:
         if (not e.is_sharp(x)) != (x in covered):
-            return LemmaReport("L14", FAIL, (x,))
-    return LemmaReport("L14", PASS)
+            return (x,)
+    return None
 
 
 def check_L15(e):
     """Every non-sharp atom lies below its orthosupplement."""
     for a in e.atoms:
         if not e.is_sharp(a) and not e.le(a, e.ortho[a]):
-            return LemmaReport("L15", FAIL, (a,))
-    return LemmaReport("L15", PASS)
+            return (a,)
+    return None
 
 
 def check_L20(e):
     """With trivial sharps, the atom intervals [a, a'] cover everything but 0, 1."""
-    if not has_trivial_sharps(e):
-        return LemmaReport("L20", NOT_APPLICABLE)
     covered = {0, e.one}
     for a in e.atoms:
         covered.update(e.interval(a, e.ortho[a]))
     for x in e.carrier:
         if x not in covered:
-            return LemmaReport("L20", FAIL, (x,))
-    return LemmaReport("L20", PASS)
+            return (x,)
+    return None
 
 
 def check_L22(e):
@@ -87,8 +104,6 @@ def check_L22(e):
     scanned, one sum at a time; the least failing cell over those sums is
     the row-major first, so the witness (a, v1, v2) is that of a scan over
     all cells."""
-    if not is_homogeneous(e):
-        return LemmaReport("L22", NOT_APPLICABLE)
     for a in e.atoms:
         ap = e.ortho[a]
         if not e.le(a, ap):
@@ -101,62 +116,52 @@ def check_L22(e):
                     fails.append((v1, v2))
                     break
         if fails:
-            return LemmaReport("L22", FAIL, (a, *min(fails)))
-    return LemmaReport("L22", PASS)
+            return (a, *min(fails))
+    return None
 
 
 def check_L30(e):
     """A defined multiple of one atom never lands in another atom's interval."""
-    if not _in_hypothesis_class(e):
-        return LemmaReport("L30", NOT_APPLICABLE)
     for a in e.atoms:
         for n, m in enumerate(e.multiples(a)[1:], 1):
             for b in e.atoms:
                 if b != a and e.le(b, m) and e.le(m, e.ortho[b]):
-                    return LemmaReport("L30", FAIL, (a, b, n))
-    return LemmaReport("L30", PASS)
+                    return (a, b, n)
+    return None
 
 
 def check_L31(e):
     """Every defined multiple of an atom is 1 or stays in the atom's interval."""
-    if not _in_hypothesis_class(e):
-        return LemmaReport("L31", NOT_APPLICABLE)
     for a in e.atoms:
         for n, m in enumerate(e.multiples(a)[1:], 1):
             if m != e.one and not (e.le(a, m) and e.le(m, e.ortho[a])):
-                return LemmaReport("L31", FAIL, (a, n))
-    return LemmaReport("L31", PASS)
+                return (a, n)
+    return None
 
 
 def check_L32(e):
     """Each atom's orthosupplement is one of its multiples (0-fold included,
     which only occurs in the two-element algebra)."""
-    if not _in_hypothesis_class(e):
-        return LemmaReport("L32", NOT_APPLICABLE)
     for a in e.atoms:
         if e.ortho[a] not in e.multiples(a):
-            return LemmaReport("L32", FAIL, (a,))
-    return LemmaReport("L32", PASS)
+            return (a,)
+    return None
 
 
 def check_L33(e):
     """If [0, na] exceeds the multiples of a, it contains a second atom."""
-    if not _in_hypothesis_class(e):
-        return LemmaReport("L33", NOT_APPLICABLE)
     for a in e.atoms:
         mults = {0}  # the multiples ka, k <= n
         for n, m in enumerate(e.multiples(a)[1:], 1):
             mults.add(m)
             if set(e.interval(0, m)) != mults:
                 if not any(b != a and e.le(b, m) for b in e.atoms):
-                    return LemmaReport("L33", FAIL, (a, n))
-    return LemmaReport("L33", PASS)
+                    return (a, n)
+    return None
 
 
 def check_T36(e):
     """Multiples of a below a' have initial segments that are exactly chains."""
-    if not _in_hypothesis_class(e):
-        return LemmaReport("T36", NOT_APPLICABLE)
     for a in e.atoms:
         mults = {0}  # the multiples ka, k <= n
         for n, m in enumerate(e.multiples(a)[1:], 1):
@@ -166,14 +171,12 @@ def check_T36(e):
             down = set(e.interval(0, m))
             if down != mults:
                 z = min(down.symmetric_difference(mults))
-                return LemmaReport("T36", FAIL, (a, n, z))
-    return LemmaReport("T36", PASS)
+                return (a, n, z)
+    return None
 
 
 def check_C1(e):
     """Distinct atom intervals are disjoint and elementwise incomparable."""
-    if not _in_hypothesis_class(e):
-        return LemmaReport("C1", NOT_APPLICABLE)
     intervals = {a: set(e.interval(a, e.ortho[a])) for a in e.atoms}
     for a in e.atoms:
         for b in e.atoms:
@@ -182,30 +185,106 @@ def check_C1(e):
             if a < b:
                 common = intervals[a] & intervals[b]
                 if common:
-                    return LemmaReport("C1", FAIL, (a, b, min(common)))
+                    return (a, b, min(common))
             for x in sorted(intervals[a]):
                 above = intervals[b].intersection(e.interval(x, e.one))
                 if above:
-                    return LemmaReport("C1", FAIL, (a, b, x, min(above)))
-    return LemmaReport("C1", PASS)
+                    return (a, b, x, min(above))
+    return None
+
+
+def check_C2(e):
+    """The algebra is the horizontal sum of its decomposition chains.
+
+    C2 checks decompose's labelling x -> (b, k), with chain lengths l_b,
+    as a sum isomorphism.  Every cell x + y, with x labelled (b, k) and y
+    labelled (c, m), must follow the chain rule: if k = 0 or m = 0 the sum
+    is the other summand; if b != c or k + m > l_b it is undefined; if
+    k + m = l_b it is the unit, and otherwise the element labelled
+    (b, k + m).  The witness is the first cell (x, y) that breaks the
+    rule, or decompose's TheoremViolation detail when no labelling is
+    found; outside the hypothesis class decompose's refusal propagates.
+    Chains of equal length can be swapped, so the labelling is an
+    isomorphism exactly when some isomorphism exists.
+    """
+    try:
+        dec = decompose(e)
+    except DecomposeError as exc:
+        if exc.kind != "TheoremViolation":
+            raise
+        return exc.detail
+
+    lengths, label = dec.chain_lengths, dec.labeling
+    element = {bk: x for x, bk in label.items()}
+
+    def chain_sum(x, y):
+        (b, k), (c, m) = label[x], label[y]
+        if k == 0 or m == 0:
+            return y if k == 0 else x
+        if b != c or k + m > lengths[b]:
+            return UNDEF
+        return e.one if k + m == lengths[b] else element[b, k + m]
+
+    s = e.table.sum
+    return next(
+        ((x, y) for x in e.carrier for y in e.carrier if s[x][y] != chain_sum(x, y)),
+        None,
+    )
+
+
+def check_C3(e):
+    """The algebra is a lattice: the witness is the first (x, y) with no
+    meet or no join."""
+    if e.is_lattice:
+        return None
+    return next(
+        (x, y)
+        for x in e.carrier
+        for y in e.carrier
+        if e.meet(x, y) is None or e.join(x, y) is None
+    )
+
+
+# The bodies in suite order.  The values are the functions themselves, so
+# a tool that rebinds the module's functions (a tracer) finds them here.
+STATEMENTS = {
+    "L14": check_L14,
+    "L15": check_L15,
+    "L20": check_L20,
+    "L22": check_L22,
+    "L30": check_L30,
+    "L31": check_L31,
+    "L32": check_L32,
+    "L33": check_L33,
+    "T36": check_T36,
+    "C1": check_C1,
+    "C2": check_C2,
+    "C3": check_C3,
+}
+SUITE_ORDER = tuple(STATEMENTS)
+
+HYPOTHESES = {
+    "L20": has_trivial_sharps,
+    "L22": is_homogeneous,
+    **dict.fromkeys(
+        ("L30", "L31", "L32", "L33", "T36", "C1", "C2", "C3"), _in_hypothesis_class
+    ),
+}
+
+
+def report(lemma_id, e):
+    """The verdict of one statement on e: NotApplicable unless its standing
+    hypothesis holds, else Pass, or Fail with the body's witness."""
+    hypothesis = HYPOTHESES.get(lemma_id)
+    if hypothesis is not None and not hypothesis(e):
+        return LemmaReport(lemma_id, NOT_APPLICABLE)
+    witness = STATEMENTS[lemma_id](e)
+    return LemmaReport(lemma_id, PASS if witness is None else FAIL, witness)
 
 
 def lemma_suite(e):
-    """All statement oracles in stable order L14 ... C1, C2, C3."""
-    reports = [
-        check_L14(e),
-        check_L15(e),
-        check_L20(e),
-        check_L22(e),
-        check_L30(e),
-        check_L31(e),
-        check_L32(e),
-        check_L33(e),
-        check_T36(e),
-        check_C1(e),
-    ]
-    reports.extend(verify_C2_C3(e))
-    return reports
+    """Every statement's report, in suite order L14 ... C1, C2, C3."""
+    return [report(lemma_id, e) for lemma_id in STATEMENTS]
 
 
 def render_reports(reports):

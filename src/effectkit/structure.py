@@ -5,13 +5,13 @@ into a horizontal sum of chains: one branch per atom a, consisting of the
 multiples of a up to its orthosupplement.  decompose() computes that
 splitting and fails loudly if the input is outside the hypothesis class
 (or, which would be a severe bug, satisfies the hypotheses but not the
-conclusion).  verify_C2_C3() checks that splitting's labelling against
+conclusion).  lemmas.check_C2 checks that splitting's labelling against
 every cell of the sum table.
 """
 
 from dataclasses import dataclass
 
-from .core import FAIL, NOT_APPLICABLE, PASS, UNDEF, EffectAlgebraTable, LemmaReport
+from .core import UNDEF, EffectAlgebraTable
 
 
 class DecomposeError(Exception):
@@ -97,56 +97,3 @@ def decompose(e):
     atoms = tuple(a for _, a, _ in branches)
     return ChainDecomposition(chain_lengths=lengths, labeling=labeling, branch_atoms=atoms)
 
-
-def verify_C2_C3(e):
-    """C2: the algebra is the horizontal sum of its decomposition chains.
-    C3: it is a lattice.  Both need the standing hypotheses.
-
-    C2 checks decompose's labelling x -> (b, k), with chain lengths l_b,
-    as a sum isomorphism.  Every cell x + y, with x labelled (b, k) and y
-    labelled (c, m), must follow the chain rule: if k = 0 or m = 0 the sum
-    is the other summand; if b != c or k + m > l_b it is undefined; if
-    k + m = l_b it is the unit, and otherwise the element labelled
-    (b, k + m).  The witness of a Fail is the first cell (x, y) that
-    breaks the rule.  Chains of equal length can be swapped, so the
-    labelling is an isomorphism exactly when some isomorphism exists.
-    """
-    try:
-        dec = decompose(e)
-    except DecomposeError as exc:
-        if exc.kind == "TheoremViolation":
-            return [
-                LemmaReport("C2", FAIL, exc.detail),
-                LemmaReport("C3", PASS if e.is_lattice else FAIL),
-            ]
-        return [LemmaReport("C2", NOT_APPLICABLE), LemmaReport("C3", NOT_APPLICABLE)]
-
-    lengths, label = dec.chain_lengths, dec.labeling
-    element = {bk: x for x, bk in label.items()}
-
-    def chain_sum(x, y):
-        (b, k), (c, m) = label[x], label[y]
-        if k == 0 or m == 0:
-            return y if k == 0 else x
-        if b != c or k + m > lengths[b]:
-            return UNDEF
-        return e.one if k + m == lengths[b] else element[b, k + m]
-
-    s = e.table.sum
-    bad = next(
-        ((x, y) for x in e.carrier for y in e.carrier if s[x][y] != chain_sum(x, y)),
-        None,
-    )
-    c2 = LemmaReport("C2", PASS) if bad is None else LemmaReport("C2", FAIL, bad)
-
-    if e.is_lattice:
-        c3 = LemmaReport("C3", PASS)
-    else:
-        bad = next(
-            (x, y)
-            for x in e.carrier
-            for y in e.carrier
-            if e.meet(x, y) is None or e.join(x, y) is None
-        )
-        c3 = LemmaReport("C3", FAIL, bad)
-    return [c2, c3]

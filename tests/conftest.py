@@ -180,7 +180,7 @@ def corrupted(t, rng, cells):
 # bitsets of src/: validation as a triple loop over every (a, b, c); the
 # order read off the raw table by order_alt; atoms, sharpness, intervals,
 # covers, meet and join by search over that order; homogeneity by search
-# over all splits.
+# over all splits; partial sums and n-fold multiples read cell by cell.
 
 
 def order_alt(t):
@@ -244,6 +244,22 @@ def atoms_alt(leq):
     return tuple(
         x for x in range(1, n) if not any(y != x and leq[y][x] for y in range(1, n))
     )
+
+
+def sum_of(e, x, y):
+    """Partial sum read off the raw table: element index, or None when undefined."""
+    v = e.table.sum[x][y]
+    return None if v == UNDEF else v
+
+
+def multiple(e, x, n):
+    """n-fold sum of x (0 for n = 0), or None once a partial sum is undefined."""
+    acc = 0
+    for _ in range(n):
+        acc = sum_of(e, acc, x)
+        if acc is None:
+            return None
+    return acc
 
 
 def is_sharp_alt(e, x):

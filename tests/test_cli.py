@@ -64,6 +64,19 @@ def test_validate_unreadable_json_is_one_parse_error(tmp_path, capsys, data):
     assert len(err) == 1 and err[0].startswith("parse error")
 
 
+def test_rejected_cell_is_quoted_only_up_to_a_prefix(tmp_path, capsys):
+    doc = {"size": 2, "one": 1, "sum": [[0, "x" * 100_000], [1, -1]]}
+    path = write_table(tmp_path, "long_cell.json", json.dumps(doc).encode())
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error") and len(err[0]) < 200
+    assert err[0].endswith("... out of range")
+    # a short cell is echoed whole
+    path = write_table(tmp_path, "cell_7.json", b'{"size":2,"one":1,"sum":[[0,7],[1,-1]]}')
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == "parse error: sum entry 7 out of range\n"
+
+
 def test_analyze_text(capsys):
     assert main(["analyze", "hsum:2,3"]) == 0
     out = capsys.readouterr().out

@@ -26,10 +26,12 @@ from conftest import (
     is_sharp_alt,
     join_alt,
     meet_alt,
+    multiple,
     non_homogeneous_fixture,
     order_alt,
     relabelled,
     small_algebras,
+    sum_of,
 )
 
 U = UNDEF
@@ -185,32 +187,23 @@ def test_interval_examples():
 
 def test_multiple_examples():
     c3 = ek.chain(3)
-    assert c3.multiple(1, 2) == 2
-    assert c3.multiple(1, 3) == 3
-    assert c3.multiple(1, 4) is None
-    assert c3.multiple(2, 0) == 0
-    assert ek.boolean_diamond().multiple(1, 2) is None
-
-
-def independent_fold(e, x, n):
-    acc = 0
-    for _ in range(n):
-        acc = e.sum_of(acc, x)
-        if acc is None:
-            return None
-    return acc
+    assert multiple(c3, 1, 2) == 2
+    assert multiple(c3, 1, 3) == 3
+    assert multiple(c3, 1, 4) is None
+    assert multiple(c3, 2, 0) == 0
+    assert multiple(ek.boolean_diamond(), 1, 2) is None
 
 
 def test_isotropy_examples():
     c4 = ek.chain(4)
     assert c4.isotropy_index(1) == 4
-    assert c4.multiple(1, 4) == c4.one
+    assert multiple(c4, 1, 4) == c4.one
     assert ek.boolean_diamond().isotropy_index(1) == 1
     h = ek.horizontal_sum([ek.chain(2), ek.chain(3)])
     b = h.atoms[1]  # atom of the length-3 branch
     assert h.isotropy_index(b) == 3
-    assert independent_fold(h, b, 3) == h.one
-    assert independent_fold(h, b, 4) is None
+    assert multiple(h, b, 3) == h.one
+    assert multiple(h, b, 4) is None
     with pytest.raises(ValueError):
         c4.isotropy_index(0)
 
@@ -297,8 +290,8 @@ def test_multiples_match_multiple(reference_algebras):
         for x in range(1, e.size):
             mults = e.multiples(x)
             assert len(mults) - 1 == e.isotropy_index(x)
-            assert mults == tuple(e.multiple(x, n) for n in range(len(mults)))
-            assert e.multiple(x, len(mults)) is None
+            assert mults == tuple(multiple(e, x, n) for n in range(len(mults)))
+            assert multiple(e, x, len(mults)) is None
     with pytest.raises(ValueError):
         ek.chain(3).multiples(0)
 
@@ -307,11 +300,11 @@ def test_multiples_match_multiple(reference_algebras):
 @given(small_algebras(), st.integers(0, 5), st.integers(0, 5))
 def test_multiple_additivity(e, m, n):
     for x in e.carrier:
-        total = e.multiple(x, m + n)
+        total = multiple(e, x, m + n)
         if total is not None:
-            a, b = e.multiple(x, m), e.multiple(x, n)
+            a, b = multiple(e, x, m), multiple(e, x, n)
             assert a is not None and b is not None
-            assert e.sum_of(a, b) == total
+            assert sum_of(e, a, b) == total
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import effectkit as ek
 from effectkit.corpus import ParseError, SpecError, from_spec, is_spec_string, parse, serialize
 
-from conftest import HOSTILE_DOCUMENTS, chain_multisets, fixture_bytes, scan_canonical
+from conftest import HOSTILE_DOCUMENTS, chain_multisets, fixture_bytes, scan_canonical, sum_of
 
 
 def test_chain_validates_for_all_small_lengths():
@@ -63,8 +63,8 @@ def test_horizontal_sum_keeps_duplicate_summands():
 def test_horizontal_sum_cross_branch_sums_undefined():
     h = ek.horizontal_sum([ek.chain(3), ek.chain(3)])
     a, b = h.atoms
-    assert h.sum_of(a, b) is None
-    assert h.sum_of(a, 0) == a
+    assert sum_of(h, a, b) is None
+    assert sum_of(h, a, 0) == a
 
 
 def test_direct_product():

@@ -1,6 +1,11 @@
+import ast
 import dataclasses
 import functools
+import inspect
 import random
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,24 +13,16 @@ from hypothesis import given, settings
 import effectkit as ek
 from effectkit.lemmas import (
     FAIL,
+    HYPOTHESES,
     NOT_APPLICABLE,
     PASS,
+    STATEMENTS,
     SUITE_ORDER,
-    check_C1,
-    check_L14,
-    check_L15,
-    check_L20,
-    check_L22,
-    check_L30,
-    check_L31,
-    check_L32,
-    check_L33,
-    check_T36,
-    has_trivial_sharps,
     homogeneity_witness,
     is_homogeneous,
     lemma_suite,
     render_reports,
+    report,
     verify_homogeneity_witness,
 )
 
@@ -34,6 +31,8 @@ from conftest import (
     first_L22_failure_alt,
     homogeneity_failures_alt,
     is_homogeneous_alt,
+    is_sharp_alt,
+    multiple,
     non_homogeneous_fixture,
     order_alt,
     relabelled,
@@ -218,32 +217,32 @@ def test_cells_by_sum_index_is_built_once_per_algebra(monkeypatch):
 
 
 def test_L14_examples():
-    assert check_L14(ek.boolean_diamond()).verdict == PASS
-    assert check_L14(ek.direct_product(ek.chain(2), ek.chain(2))).verdict == PASS
-    assert check_L14(ek.chain(6)).verdict == PASS
+    assert report("L14", ek.boolean_diamond()).verdict == PASS
+    assert report("L14", ek.direct_product(ek.chain(2), ek.chain(2))).verdict == PASS
+    assert report("L14", ek.chain(6)).verdict == PASS
 
 
 def test_L15_examples():
     for e in (ek.boolean_diamond(), ek.chain(4), hsum(2, 3, 4)):
-        assert check_L15(e).verdict == PASS
+        assert report("L15", e).verdict == PASS
 
 
 def test_L20_examples():
-    assert check_L20(hsum(3, 3)).verdict == PASS
-    assert check_L20(ek.boolean_diamond()).verdict == NOT_APPLICABLE
-    assert check_L20(ek.chain(2)).verdict == PASS
+    assert report("L20", hsum(3, 3)).verdict == PASS
+    assert report("L20", ek.boolean_diamond()).verdict == NOT_APPLICABLE
+    assert report("L20", ek.chain(2)).verdict == PASS
 
 
 def test_L22_examples():
-    assert check_L22(ek.chain(4)).verdict == PASS
-    assert check_L22(hsum(2, 3)).verdict == PASS
+    assert report("L22", ek.chain(4)).verdict == PASS
+    assert report("L22", hsum(2, 3)).verdict == PASS
     # the diamond is homogeneous, so the oracle applies; no atom sits below
     # its orthosupplement and the statement passes vacuously
-    assert check_L22(ek.boolean_diamond()).verdict == PASS
+    assert report("L22", ek.boolean_diamond()).verdict == PASS
 
 
 def test_L22_not_applicable_on_non_homogeneous(e6):
-    assert check_L22(e6).verdict == NOT_APPLICABLE
+    assert report("L22", e6).verdict == NOT_APPLICABLE
 
 
 def L22_outcome_alt(e):
@@ -256,7 +255,7 @@ def L22_outcome_alt(e):
 def test_L22_matches_all_cells_scan(reference_algebras):
     verdicts = set()
     for e in reference_algebras:
-        r = check_L22(e)
+        r = report("L22", e)
         assert (r.verdict, r.witness) == L22_outcome_alt(e)
         verdicts.add(r.verdict)
     assert verdicts == {PASS, NOT_APPLICABLE}
@@ -282,7 +281,7 @@ def test_L22_fail_witness_is_the_row_major_first_on_doctored_algebras():
                 if m <= v1 + v2 <= k - m
             ]
             assert len(fails) >= 2
-            r = check_L22(bad)
+            r = report("L22", bad)
             assert (r.verdict, r.witness) == (FAIL, first_L22_failure_alt(bad))
             assert r.witness == (perm[m], *min((perm[v1], perm[v2]) for v1, v2 in fails))
             s = bad.table.sum
@@ -292,35 +291,35 @@ def test_L22_fail_witness_is_the_row_major_first_on_doctored_algebras():
 
 def test_L30_L31_L32_examples():
     h = hsum(2, 4)
-    for check in (check_L30, check_L31, check_L32):
-        assert check(h).verdict == PASS
+    for lemma_id in ("L30", "L31", "L32"):
+        assert report(lemma_id, h).verdict == PASS
     b = h.atoms[1]
     assert h.isotropy_index(b) == 4
-    assert h.multiple(b, 3) == h.ortho[b]
-    for check in (check_L30, check_L31, check_L32):
-        assert check(ek.chain(7)).verdict == PASS
-        assert check(ek.boolean_diamond()).verdict == NOT_APPLICABLE
+    assert multiple(h, b, 3) == h.ortho[b]
+    for lemma_id in ("L30", "L31", "L32"):
+        assert report(lemma_id, ek.chain(7)).verdict == PASS
+        assert report(lemma_id, ek.boolean_diamond()).verdict == NOT_APPLICABLE
 
 
 def test_L32_covers_two_element_algebra():
     # the unit is the only atom and its orthosupplement is the 0-fold multiple
-    assert check_L32(ek.chain(1)).verdict == PASS
+    assert report("L32", ek.chain(1)).verdict == PASS
 
 
 def test_T36_L33_C1_examples():
     h = hsum(3, 5)
-    for check in (check_L33, check_T36, check_C1):
-        assert check(h).verdict == PASS
+    for lemma_id in ("L33", "T36", "C1"):
+        assert report(lemma_id, h).verdict == PASS
     a, b = h.atoms
     ia = set(h.interval(a, h.ortho[a]))
     ib = set(h.interval(b, h.ortho[b]))
     interior = set(h.carrier) - {0, h.one}
     assert ia | ib == interior and not ia & ib
-    assert check_T36(ek.chain(4)).verdict == PASS
+    assert report("T36", ek.chain(4)).verdict == PASS
     p = ek.direct_product(ek.chain(2), ek.chain(3))
     assert len(p.sharp_set) == 4
-    for check in (check_L33, check_T36, check_C1):
-        assert check(p).verdict == NOT_APPLICABLE
+    for lemma_id in ("L33", "T36", "C1"):
+        assert report(lemma_id, p).verdict == NOT_APPLICABLE
 
 
 def test_lemma_suite_order_and_verdicts():
@@ -345,8 +344,8 @@ def test_render_reports_format():
 @given(small_algebras())
 def test_applicability_is_monotone(e):
     # the triple-hypothesis oracles imply the weaker trivial-sharp one applies
-    if check_L30(e).verdict != NOT_APPLICABLE:
-        assert check_L20(e).verdict != NOT_APPLICABLE
+    if report("L30", e).verdict != NOT_APPLICABLE:
+        assert report("L20", e).verdict != NOT_APPLICABLE
 
 
 @settings(max_examples=40, deadline=None)
@@ -364,7 +363,7 @@ def test_fail_paths_on_doctored_algebra():
     # exercising Fail reporting and witness soundness plumbing
     h = hsum(2, 2)
     bad = _doctored(h, atoms=(1,))
-    r = check_L20(bad)
+    r = report("L20", bad)
     assert r.verdict == FAIL
     assert r.witness == (2,)
     assert 2 not in {x for a in bad.atoms for x in bad.interval(a, bad.ortho[a])}
@@ -374,7 +373,7 @@ def test_C1_fail_on_doctored_algebra():
     # pretending a multiple is an atom makes the intervals overlap
     c = ek.chain(4)
     bad = _doctored(c, atoms=(1, 2))
-    r = check_C1(bad)
+    r = report("C1", bad)
     assert r.verdict == FAIL
     assert r.witness is not None
 
@@ -390,3 +389,105 @@ def test_analysis_report_examples():
     p = ek.analyze(ek.from_spec("prod:chain:2,chain:2"))
     assert len(p.sharp) == 4
     assert rep.as_dict()["atoms"] == [1, 2]
+
+
+def test_bodies_leave_the_guard_to_report():
+    # report is the one guard: no body names a standing hypothesis
+    guard = re.compile(
+        r"\b(has_trivial_sharps|is_homogeneous|_in_hypothesis_class|HYPOTHESES"
+        r"|homogeneity_witness|sharp_set)\b"
+    )
+    for lemma_id, body in STATEMENTS.items():
+        assert body.__name__ == f"check_{lemma_id}"
+        assert not guard.search(inspect.getsource(body)), lemma_id
+    assert SUITE_ORDER == tuple(STATEMENTS)
+    assert set(HYPOTHESES) == set(SUITE_ORDER) - {"L14", "L15"}
+
+
+def test_statements_are_known_to_lemmas_only():
+    for name in ("LemmaReport", "PASS", "FAIL", "NOT_APPLICABLE"):
+        assert not hasattr(ek.core, name) and not hasattr(ek.structure, name)
+    tree = ast.parse(Path(ek.structure.__file__).read_text(encoding="utf-8"))
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "core" in imported and "lemmas" not in imported
+
+
+# The survey columns total, homogeneous, trivial_sharp and hypothesis_class
+# of every size 2-9.
+SURVEY_TO_9 = {
+    2: (1, 1, 1, 1),
+    3: (1, 1, 1, 1),
+    4: (3, 3, 2, 2),
+    5: (4, 4, 3, 3),
+    6: (10, 9, 6, 5),
+    7: (14, 12, 9, 7),
+    8: (40, 25, 22, 11),
+    9: (60, 34, 34, 15),
+}
+
+
+@pytest.fixture(scope="module")
+def classes():
+    """{n: (keys, algebras)} for every isomorphism class of sizes 2-9."""
+    out = {}
+    for n in SURVEY_TO_9:
+        keys = ek.enumerate_all(n)
+        out[n] = keys, [ek.validate(ek.parse(key)) for key in keys]
+    return out
+
+
+def test_statement_census_sizes_2_to_9(classes):
+    # every statement on every class: no Fail, L14 and L15 pass everywhere,
+    # and each other statement passes exactly where its hypothesis holds
+    for n, (keys, members) in classes.items():
+        total, homogeneous, trivial, hypothesis_class = SURVEY_TO_9[n]
+        row = ek.enumeration.survey_row(n, keys)
+        assert (row.total, row.homogeneous, row.trivial_sharp, row.hypothesis_class) == (
+            SURVEY_TO_9[n]
+        )
+        counts = Counter((r.lemma_id, r.verdict) for e in members for r in lemma_suite(e))
+        passes = {"L14": total, "L15": total, "L20": trivial, "L22": homogeneous}
+        want = Counter()
+        for lemma_id in SUITE_ORDER:
+            p = passes.get(lemma_id, hypothesis_class)
+            want[lemma_id, PASS] = p
+            want[lemma_id, NOT_APPLICABLE] = total - p
+        assert counts == want, n
+
+
+# The first class, by size and then key, on which a body fails when called
+# without its guard: (size, index among that size's keys, witness).
+FIRST_FAILURES = {
+    "L20": (4, 0, (2,)),
+    "L31": (4, 0, (2, 1)),
+    "L32": (4, 0, (2,)),
+    "L22": (6, 3, (5, 4, 4)),
+    "L30": (6, 3, (4, 5, 2)),
+    "T36": (6, 3, (5, 2, 4)),
+    "C1": (6, 3, (4, 5, 4, 2)),
+    "C3": (6, 3, (2, 3)),
+}
+
+
+def test_each_hypothesis_is_needed(classes):
+    # The bodies alone over every class of sizes 2-8 (C2's asks decompose,
+    # which refuses algebras outside the hypothesis class).  L14, L15 and
+    # L33 fail on none.  L20, L31 and L32 first fail on a homogeneous
+    # algebra with sharps other than 0 and 1; the others on one with only
+    # 0 and 1 sharp that is not homogeneous.
+    first = {}
+    for n in range(2, 9):
+        for i, e in enumerate(classes[n][1]):
+            for lemma_id, body in STATEMENTS.items():
+                if lemma_id != "C2" and lemma_id not in first:
+                    w = body(e)
+                    if w is not None:
+                        first[lemma_id] = (n, i, w)
+    assert first == FIRST_FAILURES
+    for lemma_id, (n, i, _) in first.items():
+        e = classes[n][1][i]
+        trivial = not any(is_sharp_alt(e, x) for x in e.carrier if x not in (0, e.one))
+        if lemma_id in ("L20", "L31", "L32"):
+            assert is_homogeneous_alt(e) and not trivial, lemma_id
+        else:
+            assert trivial and not is_homogeneous_alt(e), lemma_id

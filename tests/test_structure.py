@@ -6,19 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effectkit as ek
-from effectkit.lemmas import FAIL, NOT_APPLICABLE, PASS
+from effectkit.lemmas import FAIL, NOT_APPLICABLE, PASS, check_C3, lemma_suite, report
 from effectkit.structure import (
     DecomposeError,
     decompose,
     relabel,
-    verify_C2_C3,
 )
 
-from conftest import chain_multisets, small_algebras
+from conftest import (
+    chain_multisets,
+    is_lattice_alt,
+    join_alt,
+    meet_alt,
+    small_algebras,
+    sum_of,
+)
 
 
 def hsum(*lengths):
     return ek.horizontal_sum([ek.chain(l) for l in lengths])
+
+
+def c2_c3(e):
+    """The reports of C2 and C3 on e."""
+    return [report("C2", e), report("C3", e)]
 
 
 def random_perm(n, seed):
@@ -84,7 +95,7 @@ def test_labeling_is_sum_isomorphism():
         assert sorted(lab) == list(h.carrier)
         for x in h.carrier:
             for y in h.carrier:
-                got = h.sum_of(x, y)
+                got = sum_of(h, x, y)
                 want = model_sum(lab[x], lab[y])
                 if got is None:
                     assert want is None, (x, y)
@@ -113,17 +124,53 @@ def test_theorem_violation_on_doctored_algebra():
     assert exc.value.kind == "TheoremViolation"
 
 
-def test_verify_C2_C3():
-    reports = verify_C2_C3(hsum(3, 3, 2))
+def first_pair_without_meet_or_join_alt(e):
+    """The first (x, y), row-major, with no meet or no join, by search."""
+    return next(
+        (
+            (x, y)
+            for x in e.carrier
+            for y in e.carrier
+            if meet_alt(e, x, y) is None or join_alt(e, x, y) is None
+        ),
+        None,
+    )
+
+
+def test_C3_is_checked_when_decompose_fails():
+    # a doctored member of the hypothesis class: decompose finds no
+    # labelling, so C2 fails with its detail, and C3 is checked on its own
+    bad = dataclasses.replace(hsum(2, 2), atoms=(1,))
+    with pytest.raises(DecomposeError) as exc:
+        decompose(bad)
+    assert exc.value.detail[0] == "uncovered"
+    c2, c3 = c2_c3(bad)
+    assert (c2.verdict, c2.witness) == (FAIL, exc.value.detail)
+    assert c3.verdict == (PASS if is_lattice_alt(bad) else FAIL)
+    assert c3.witness == first_pair_without_meet_or_join_alt(bad)
+
+
+def test_C3_witness_is_the_first_pair_without_meet_or_join(reference_algebras):
+    non_lattices = 0
+    for e in reference_algebras:
+        w = check_C3(e)
+        assert w == first_pair_without_meet_or_join_alt(e)
+        assert (w is None) == is_lattice_alt(e)
+        non_lattices += w is not None
+    assert non_lattices
+
+
+def test_check_C2_C3():
+    reports = lemma_suite(hsum(3, 3, 2))[-2:]
     assert [r.verdict for r in reports] == [PASS, PASS]
-    na = verify_C2_C3(ek.direct_product(ek.chain(2), ek.chain(2)))
+    na = lemma_suite(ek.direct_product(ek.chain(2), ek.chain(2)))[-2:]
     assert [r.verdict for r in na] == [NOT_APPLICABLE, NOT_APPLICABLE]
     assert [r.lemma_id for r in reports] == ["C2", "C3"]
     # n = 78: C2 checks the labelling cell by cell, with no search over
     # relabellings
     big = hsum(20, 20, 20, 20)
     shuffled = ek.validate(relabel(big.table, random_perm(big.size, 7)))
-    assert [r.verdict for r in verify_C2_C3(shuffled)] == [PASS, PASS]
+    assert [r.verdict for r in c2_c3(shuffled)] == [PASS, PASS]
 
 
 def test_C2_fails_with_a_cell_witness(monkeypatch):
@@ -133,9 +180,9 @@ def test_C2_fails_with_a_cell_witness(monkeypatch):
     p, q = (x for x in h.carrier if lab[x] in ((0, 1), (1, 1)))
     lab[p], lab[q] = lab[q], lab[p]  # swap the atoms of the two branches
     monkeypatch.setattr(
-        ek.structure, "decompose", lambda e: dataclasses.replace(dec, labeling=lab)
+        ek.lemmas, "decompose", lambda e: dataclasses.replace(dec, labeling=lab)
     )
-    c2, c3 = verify_C2_C3(h)
+    c2, c3 = c2_c3(h)
     assert c2.verdict == FAIL and c3.verdict == PASS
 
     element = {bk: x for x, bk in lab.items()}
@@ -165,7 +212,7 @@ def test_decompose_success_implies_C2_C3_pass(e):
         decompose(e)
     except DecomposeError:
         return
-    assert [r.verdict for r in verify_C2_C3(e)] == [PASS, PASS]
+    assert [r.verdict for r in c2_c3(e)] == [PASS, PASS]
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,4 +224,4 @@ def test_round_trip_decomposition_property(lengths, rng):
     perm = [0] + rng.sample(range(1, h.size), h.size - 1)
     shuffled = ek.validate(relabel(h.table, perm))
     assert decompose(shuffled).chain_lengths == tuple(sorted(lengths))
-    assert [r.verdict for r in verify_C2_C3(shuffled)] == [PASS, PASS]
+    assert [r.verdict for r in c2_c3(shuffled)] == [PASS, PASS]
