@@ -7,15 +7,21 @@ matrices of element indices with -1 marking an undefined sum; index 0 is
 always the zero element, the unit index is explicit.
 
 validate() turns a table into a CheckedEffectAlgebra or raises a
-ValidationError whose witness verify_validation_witness() re-checks.  A
-CheckedEffectAlgebra keeps the index by_sum that validate builds, the
-defined cells grouped by their sum, which the associativity scan, the
-atoms, homogeneity and L22 read so that each visits only the cells that
-can matter.  The order is stored in one form, the int-bitset down-sets
-and up-sets of _bounds, filled from by_sum; le and the order queries
-(sharpness, intervals, meets, joins and covers) read it.  Each derived
-property is computed once, on first use, and kept: _bounds, sharp_set,
-is_lattice and homogeneity_witness.
+ValidationError whose witness verify_validation_witness() re-checks.  It
+reads each cell once, in one pass that checks the cell's type and range,
+compares it with its transpose, files it in the index by_sum (the defined
+cells grouped by their sum) and notes any breach of cancellation or
+positivity.  BadIndex is raised at once, then BadZero, NotCommutative,
+ZeroOneLawViolated, OrthoMissing, OrthoNotUnique and NotAssociative in
+that order; a breach is raised only after associativity passes, so an
+invalid table never gets one.  A CheckedEffectAlgebra keeps by_sum, which
+the associativity scan, the atoms, homogeneity and L22 read so that each
+visits only the cells that can matter.  The order is stored in one form,
+the int-bitset down-sets and up-sets of _bounds, filled from by_sum; le
+and the order queries (sharpness, intervals, meets, joins and covers) and
+the bodies of L14, L33, T36 and C1 read it.  Each derived property is
+computed once, on first use, and kept: _bounds, sharp_set, is_lattice
+and homogeneity_witness.
 """
 
 from dataclasses import dataclass
@@ -227,7 +233,44 @@ def _bits(m):
     return tuple(out)
 
 
+def _scan_cells(t):
+    """One pass over the cells of a table whose size, unit and row count
+    check out: (mismatch, by_sum, breach).
+
+    Raises BadIndex at the first row of the wrong length or bad cell, in
+    row-major order.  mismatch is the least (i, j), i < j, with
+    s[i][j] != s[j][i], or None; each lower-triangle cell is compared with
+    its transpose, which lies in a row already checked.  by_sum[t] holds
+    the cells (x, y) with x + y = t, row-major.  breach is the first cell,
+    row-major, that breaks cancellation (a second cell of its sum in its
+    row) or positivity (a sum 0 off (0, 0)), as a message, or None.
+    """
+    n, s = t.size, t.sum
+    by_sum = [[] for _ in range(n)]
+    mismatch = breach = None
+    for i, row in enumerate(s):
+        if len(row) != n:
+            raise ValidationError("BadIndex", (i,))
+        for j, v in enumerate(row):
+            if type(v) is not int or not UNDEF <= v < n:
+                raise ValidationError("BadIndex", (i, j))
+            if j < i and v != s[j][i] and (mismatch is None or (j, i) < mismatch):
+                mismatch = (j, i)
+            if v == UNDEF:
+                continue
+            cells = by_sum[v]
+            if breach is None:
+                if cells and cells[-1][0] == i:
+                    breach = f"cancellation broken at {(i, cells[-1][1], j)}"
+                elif v == 0 and (i or j):
+                    breach = f"positivity broken at {(i, j)}"
+            cells.append((i, j))
+    return mismatch, tuple(map(tuple, by_sum)), breach
+
+
 def _check_shape(t):
+    """Raise BadIndex at the first bad size, unit, row count, row or cell;
+    else return _scan_cells(t)."""
     # type(v) is int, not isinstance: parse refuses bool cells, so a bool
     # accepted here would serialize to a table parse cannot read back
     n = t.size
@@ -237,14 +280,7 @@ def _check_shape(t):
         raise ValidationError("BadIndex", (t.one,))
     if len(t.sum) != n:
         raise ValidationError("BadIndex", (len(t.sum),))
-    for i in range(n):
-        row = t.sum[i]
-        if len(row) != n:
-            raise ValidationError("BadIndex", (i,))
-        for j in range(n):
-            v = row[j]
-            if type(v) is not int or v < UNDEF or v >= n:
-                raise ValidationError("BadIndex", (i, j))
+    return _scan_cells(t)
 
 
 def verify_validation_witness(table, err):
@@ -302,16 +338,6 @@ def verify_validation_witness(table, err):
     return False
 
 
-def _cells_by_sum(table):
-    """by_sum[t]: the cells (x, y) with x + y = t, in row-major order."""
-    by_sum = [[] for _ in range(table.size)]
-    for x, row in enumerate(table.sum):
-        for y, t in enumerate(row):
-            if t != UNDEF:
-                by_sum[t].append((x, y))
-    return tuple(tuple(cells) for cells in by_sum)
-
-
 def validate(table):
     """Check the effect-algebra axioms and derive the ortho map and atoms.
 
@@ -320,26 +346,28 @@ def validate(table):
     zero-one law (ZeroOneLawViolated), existence and uniqueness of
     orthosupplements (OrthoMissing / OrthoNotUnique), and associativity in
     both directions including definedness transfer (NotAssociative).  The
-    first violation in lexicographic scan order is raised.  The
-    associativity scan visits only the triples whose a + (b + c) is
-    defined, reached through by_sum; it raises the least failing (b, c) of
-    the least failing a, the first witness of a scan over all n**3 triples.
-    The atoms are read off by_sum as well.  Cancellation, positivity and an
-    involutive orthosupplement follow from the axioms; they are re-checked
-    last, and a breach raises AssertionError, which marks a bug in the
-    checks above.
+    first violation in lexicographic scan order is raised.  After the
+    size, unit and row-count checks, one pass over the cells (_scan_cells)
+    raises BadIndex at the first bad cell, since no other kind outranks
+    it, and notes the least transpose mismatch, by_sum and the first
+    breach of cancellation or positivity; the other kinds follow in the
+    order above.  The associativity scan visits only the triples whose
+    a + (b + c) is defined, reached through by_sum; it raises the least
+    failing (b, c) of the least failing a, the first witness of a scan
+    over all n**3 triples.  The atoms are read off by_sum as well.
+    Cancellation, positivity and an involutive orthosupplement follow from
+    the axioms; a breach is raised last, as AssertionError, which marks a
+    bug in the checks above.
     """
-    _check_shape(table)
+    mismatch, by_sum, breach = _check_shape(table)
     n, one, s = table.size, table.one, table.sum
 
     for x in range(n):
         if s[0][x] != x:
             raise ValidationError("BadZero", (x,))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if s[i][j] != s[j][i]:
-                raise ValidationError("NotCommutative", (i, j))
+    if mismatch is not None:
+        raise ValidationError("NotCommutative", mismatch)
 
     for x in range(1, n):
         if x != one and s[x][one] != UNDEF:
@@ -364,7 +392,6 @@ def validate(table):
     # a + (b + c) defined can fail, so each a walks its defined sums a + x
     # and the cells (b, c) of x.  That walk goes by x, not by (b, c), so the
     # least of each x's first failing cell is the lexicographic one.
-    by_sum = _cells_by_sum(table)
     for a in range(n):
         row_a = s[a]
         fails = []  # the first failing cell (b, c) of each sum x
@@ -379,18 +406,9 @@ def validate(table):
         if fails:
             raise ValidationError("NotAssociative", (a, *min(fails)))
 
-    # Sanity: consequences of the axioms, never assumed above.
-    for a in range(n):
-        seen = {}
-        for b in range(n):
-            v = s[a][b]
-            if v == UNDEF:
-                continue
-            if v in seen:
-                raise AssertionError(f"cancellation broken at {(a, seen[v], b)}")
-            seen[v] = b
-            if v == 0 and (a, b) != (0, 0):
-                raise AssertionError(f"positivity broken at {(a, b)}")
+    # Consequences of the axioms, never assumed above.
+    if breach is not None:
+        raise AssertionError(breach)
     for x in range(n):
         if ortho[ortho[x]] != x:
             raise AssertionError(f"orthosupplement not involutive at {x}")

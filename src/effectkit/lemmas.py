@@ -65,14 +65,19 @@ def _in_hypothesis_class(e):
     return has_trivial_sharps(e) and is_homogeneous(e)
 
 
+def _lowest(m):
+    """The index of the lowest set bit of m > 0."""
+    return (m & -m).bit_length() - 1
+
+
 def check_L14(e):
     """Non-sharpness of x is equivalent to x lying in some [b, b'] with b != 0."""
-    covered = set()
-    for b in e.carrier:
-        if b != 0:
-            covered.update(e.interval(b, e.ortho[b]))
+    down, up, _, _ = e._bounds
+    covered = 0
+    for b in range(1, e.size):
+        covered |= up[b] & down[e.ortho[b]]
     for x in e.carrier:
-        if (not e.is_sharp(x)) != (x in covered):
+        if (not e.is_sharp(x)) != (covered >> x & 1):
             return (x,)
     return None
 
@@ -150,11 +155,12 @@ def check_L32(e):
 
 def check_L33(e):
     """If [0, na] exceeds the multiples of a, it contains a second atom."""
+    down = e._bounds[0]
     for a in e.atoms:
-        mults = {0}  # the multiples ka, k <= n
+        mults = 1  # bit z set iff z = ka for some k <= n
         for n, m in enumerate(e.multiples(a)[1:], 1):
-            mults.add(m)
-            if set(e.interval(0, m)) != mults:
+            mults |= 1 << m
+            if down[m] != mults:
                 if not any(b != a and e.le(b, m) for b in e.atoms):
                     return (a, n)
     return None
@@ -162,34 +168,30 @@ def check_L33(e):
 
 def check_T36(e):
     """Multiples of a below a' have initial segments that are exactly chains."""
+    down = e._bounds[0]
     for a in e.atoms:
-        mults = {0}  # the multiples ka, k <= n
+        mults = 1  # bit z set iff z = ka for some k <= n
         for n, m in enumerate(e.multiples(a)[1:], 1):
-            mults.add(m)
-            if not e.le(m, e.ortho[a]):
-                continue
-            down = set(e.interval(0, m))
-            if down != mults:
-                z = min(down.symmetric_difference(mults))
-                return (a, n, z)
+            mults |= 1 << m
+            if e.le(m, e.ortho[a]) and down[m] != mults:
+                return (a, n, _lowest(down[m] ^ mults))
     return None
 
 
 def check_C1(e):
     """Distinct atom intervals are disjoint and elementwise incomparable."""
-    intervals = {a: set(e.interval(a, e.ortho[a])) for a in e.atoms}
+    down, up, _, _ = e._bounds
+    intervals = {a: up[a] & down[e.ortho[a]] for a in e.atoms}
     for a in e.atoms:
+        members = e.interval(a, e.ortho[a])
         for b in e.atoms:
             if a == b:
                 continue
-            if a < b:
-                common = intervals[a] & intervals[b]
-                if common:
-                    return (a, b, min(common))
-            for x in sorted(intervals[a]):
-                above = intervals[b].intersection(e.interval(x, e.one))
-                if above:
-                    return (a, b, x, min(above))
+            if a < b and intervals[a] & intervals[b]:
+                return (a, b, _lowest(intervals[a] & intervals[b]))
+            for x in members:
+                if intervals[b] & up[x]:
+                    return (a, b, x, _lowest(intervals[b] & up[x]))
     return None
 
 

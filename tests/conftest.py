@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import effectkit as ek
+import effectkit.enumeration as en
 from effectkit.core import UNDEF
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -136,6 +137,29 @@ def scan_canonical(t):
             best = flat
     rows = [best[i * n : (i + 1) * n] for i in range(n)]
     return ek.serialize(ek.EffectAlgebraTable.from_rows(n, 1, rows))
+
+
+def counted_search(monkeypatch, n):
+    """Size n's keys from one search of the whole size, its first cell not
+    split, and the number of prefix tests made."""
+    real = en._resume_relabelings
+    calls = 0
+
+    def counting(S, m, states):
+        nonlocal calls
+        calls += 1
+        return real(S, m, states)
+
+    monkeypatch.setattr(en, "_resume_relabelings", counting)
+    return sorted(en._enumeration_worker((n, None))), calls
+
+
+@pytest.fixture(scope="session")
+def size_10_search():
+    """counted_search at size 10, made once for every test that needs the
+    size-10 keys."""
+    with pytest.MonkeyPatch.context() as mp:
+        return counted_search(mp, 10)
 
 
 def relabelled(t, rng):

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,18 @@ def test_imports_are_at_module_level_and_acyclic():
             del graph[m]
 
 
+def test_sources_parse_under_the_oldest_supported_python():
+    # the parser refuses syntax newer than feature_version, so a source
+    # using it would break requires-python; match is refused under 3.9,
+    # which shows that the version is honoured
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject.read_text()).group(1))
+    for path in sorted(Path(ek.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, minor))
+    with pytest.raises(SyntaxError):
+        ast.parse("match x:\n    case _:\n        pass\n", feature_version=(3, 9))
+
+
 def validate_outcome(t):
     try:
         e = validate(t)
@@ -444,6 +457,55 @@ def test_associativity_witness_is_the_lexicographic_first(i, j, v, first):
         validate(t)
     assert (exc.value.kind, exc.value.witness) == first_violation_alt(t)
     assert exc.value.witness == first
+    assert verify_validation_witness(t, exc.value)
+
+
+def chain_with(n, cells):
+    """chain(n)'s table with each (i, j, v) in cells written in."""
+    rows = [list(r) for r in ek.chain(n).table.sum]
+    for i, j, v in cells:
+        rows[i][j] = v
+    return table(n + 1, n, rows)
+
+
+def lower_triangle_first_mismatch(t):
+    """The first (j, i), j < i, with s[i][j] != s[j][i], met row by row
+    over the lower triangle."""
+    s = t.sum
+    return next((j, i) for i in range(t.size) for j in range(i) if s[i][j] != s[j][i])
+
+
+def breaks_cancellation(t):
+    return any(
+        len(defined) != len(set(defined))
+        for defined in ([v for v in row if v != UNDEF] for row in t.sum)
+    )
+
+
+@pytest.mark.parametrize(
+    "cells,kind,witness",
+    [
+        # 1 + 2 undefined against 2 + 1 = 3 in row 1, then an out-of-range
+        # cell in row 3: no other kind outranks a bad cell
+        ([(1, 2, U), (3, 3, 7)], "BadIndex", (3, 3)),
+        # 3 + 2 and 4 + 1 undefined: the lower-triangle scan meets (2, 3) in
+        # row 3 before (1, 4) in row 4, and (1, 4) is the least
+        ([(3, 2, U), (4, 1, U)], "NotCommutative", (1, 4)),
+        # 1 + 2 = 2 + 1 = 4 = 1 + 3: cancellation breaks in row 1, and the
+        # table is not associative either, which is the violation raised
+        ([(1, 2, 4), (2, 1, 4)], "NotAssociative", (1, 1, 2)),
+    ],
+)
+def test_one_pass_raises_the_first_kind(cells, kind, witness):
+    t = chain_with(5, cells)
+    if kind == "NotCommutative":
+        assert lower_triangle_first_mismatch(t) != witness
+    if kind == "NotAssociative":
+        assert breaks_cancellation(t)
+    with pytest.raises(ValidationError) as exc:
+        validate(t)
+    assert (exc.value.kind, exc.value.witness) == (kind, witness)
+    assert (exc.value.kind, exc.value.witness) == first_violation_alt(t)
     assert verify_validation_witness(t, exc.value)
 
 

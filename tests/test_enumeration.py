@@ -29,7 +29,7 @@ from effectkit.enumeration import (
 )
 from effectkit.lemmas import has_trivial_sharps, is_homogeneous
 
-from conftest import chain_multisets, partitions, scan_canonical
+from conftest import chain_multisets, counted_search, partitions, scan_canonical
 
 GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
 # sha256 of the concatenated keys of sizes 2..8 and 2..9
@@ -96,28 +96,13 @@ def test_key_bytes_sizes_2_to_8_are_pinned():
     assert _keys_sha256(enumerate_all(n) for n in range(2, 9)) == KEYS_SHA256_TO_8
 
 
-def _counted_search(monkeypatch, n):
-    """Size n's keys from one search of the whole size, its first cell not
-    split, and the number of prefix tests made."""
-    real = en._resume_relabelings
-    calls = 0
-
-    def counting(S, m, states):
-        nonlocal calls
-        calls += 1
-        return real(S, m, states)
-
-    monkeypatch.setattr(en, "_resume_relabelings", counting)
-    return sorted(en._enumeration_worker((n, None))), calls
-
-
 @pytest.mark.parametrize("n,count", sorted(PREFIX_TESTS.items()))
 def test_prefix_test_counts_are_pinned(monkeypatch, n, count):
-    assert _counted_search(monkeypatch, n)[1] == count
+    assert counted_search(monkeypatch, n)[1] == count
 
 
 def test_size_9_count_and_hypothesis_class(monkeypatch):
-    keys, prefix_tests = _counted_search(monkeypatch, 9)
+    keys, prefix_tests = counted_search(monkeypatch, 9)
     assert prefix_tests == PREFIX_TESTS_AT_9
     assert len(keys) == 60
     row = survey_row(9, keys)
@@ -129,15 +114,14 @@ def test_size_9_count_and_hypothesis_class(monkeypatch):
     assert enumerate_all(9) == keys
 
 
-def test_size_10_count_and_hypothesis_class(monkeypatch):
-    keys, prefix_tests = _counted_search(monkeypatch, 10)
+def test_size_10_count_and_hypothesis_class(size_10_search):
+    keys, prefix_tests = size_10_search
     assert prefix_tests == PREFIX_TESTS_AT_10
     assert len(keys) == 172
     assert _keys_sha256([keys]) == KEYS_SHA256_AT_10
     row = survey_row(10, keys)
     assert row.as_tsv() == "10\t172\t64\t81\t22\t22\t0"
     assert row.hypothesis_class == sum(1 for _ in partitions(8))
-    monkeypatch.undo()
     assert enumerate_all(10, parallel=2) == keys
 
 

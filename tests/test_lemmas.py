@@ -198,7 +198,8 @@ def test_order_bitsets_are_built_once_per_algebra(monkeypatch):
 
 
 def test_cells_by_sum_index_is_built_once_per_algebra(monkeypatch):
-    build = ek.core._cells_by_sum
+    # by_sum is filed by the one pass over the cells, which runs once
+    build = ek.core._scan_cells
     runs = []
 
     def counted(t):
@@ -206,7 +207,7 @@ def test_cells_by_sum_index_is_built_once_per_algebra(monkeypatch):
         return build(t)
 
     t = relabelled(hsum(3, 4, 5).table, random.Random(3))
-    monkeypatch.setattr(ek.core, "_cells_by_sum", counted)
+    monkeypatch.setattr(ek.core, "_scan_cells", counted)
     e = ek.validate(t)
     index = e.by_sum
     ek.analyze(e)
@@ -436,23 +437,32 @@ def classes():
     return out
 
 
+def assert_statement_census(n, keys, members, survey):
+    """Every statement on every class of size n: no Fail, L14 and L15 pass
+    everywhere, and each other statement passes exactly where its
+    hypothesis holds, as counted by the survey's columns."""
+    total, homogeneous, trivial, hypothesis_class = survey
+    row = ek.enumeration.survey_row(n, keys)
+    assert (row.total, row.homogeneous, row.trivial_sharp, row.hypothesis_class) == survey
+    counts = Counter((r.lemma_id, r.verdict) for e in members for r in lemma_suite(e))
+    passes = {"L14": total, "L15": total, "L20": trivial, "L22": homogeneous}
+    want = Counter()
+    for lemma_id in SUITE_ORDER:
+        p = passes.get(lemma_id, hypothesis_class)
+        want[lemma_id, PASS] = p
+        want[lemma_id, NOT_APPLICABLE] = total - p
+    assert counts == want, n
+
+
 def test_statement_census_sizes_2_to_9(classes):
-    # every statement on every class: no Fail, L14 and L15 pass everywhere,
-    # and each other statement passes exactly where its hypothesis holds
     for n, (keys, members) in classes.items():
-        total, homogeneous, trivial, hypothesis_class = SURVEY_TO_9[n]
-        row = ek.enumeration.survey_row(n, keys)
-        assert (row.total, row.homogeneous, row.trivial_sharp, row.hypothesis_class) == (
-            SURVEY_TO_9[n]
-        )
-        counts = Counter((r.lemma_id, r.verdict) for e in members for r in lemma_suite(e))
-        passes = {"L14": total, "L15": total, "L20": trivial, "L22": homogeneous}
-        want = Counter()
-        for lemma_id in SUITE_ORDER:
-            p = passes.get(lemma_id, hypothesis_class)
-            want[lemma_id, PASS] = p
-            want[lemma_id, NOT_APPLICABLE] = total - p
-        assert counts == want, n
+        assert_statement_census(n, keys, members, SURVEY_TO_9[n])
+
+
+def test_statement_census_size_10(size_10_search):
+    keys = size_10_search[0]
+    members = [ek.validate(ek.parse(key)) for key in keys]
+    assert_statement_census(10, keys, members, (172, 64, 81, 22))
 
 
 # The first class, by size and then key, on which a body fails when called
