@@ -1,5 +1,8 @@
 import os
 import random
+import signal
+import sys
+import traceback
 from itertools import permutations
 
 import pytest
@@ -17,6 +20,36 @@ HOSTILE_DOCUMENTS = [
     pytest.param(b"[" * 200_000, id="200000-nested-arrays"),
     pytest.param(b'{"size":' + b"9" * 5000 + b',"one":1,"sum":[]}', id="5000-digit-size"),
 ]
+
+
+# Each test's own time limit.  The whole suite takes seconds; a test still
+# running after this long is stuck (a pool waiting on a worker that never
+# answers, say), and failing it names it and lets the run go on.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so no except clause on the way (an OSError retry
+    around waitpid, Hypothesis replaying a failure) can swallow it."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Raise TimeLimitExceeded in a test still running after
+    TEST_TIME_LIMIT_S, with the stack of every thread in its message."""
+
+    def expire(signum, frame):
+        stacks = "".join(
+            f"\nthread {ident}:\n" + "".join(traceback.format_stack(top))
+            for ident, top in sys._current_frames().items()
+        )
+        raise TimeLimitExceeded(f"still running after {TEST_TIME_LIMIT_S} s{stacks}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def fixture_bytes(name):
