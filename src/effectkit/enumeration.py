@@ -8,7 +8,9 @@ storage gives commutativity, per-row value masks give cancellation and
 orthosupplement uniqueness, rows are forced to keep an orthosupplement
 reachable, and associativity (with definedness transfer) is re-checked
 incrementally over the triples a newly decided cell can influence,
-forcing further cells where the triple determines them.  The partial
+forcing further cells where the triple determines them.  The row masks
+also locate those triples: a row holds a value in at most one cell, and
+only if its mask has the value's bit.  The partial
 table and the row masks are the whole state; each branch restores both by copy.
 
 Isomorph rejection (Read's orderly method): a table is emitted only if
@@ -27,9 +29,10 @@ The test is carried down the search rather than started afresh at every
 node.  Each node resumes its parent's live states, the partial
 relabelings whose comparison stopped undecided at some cell, and passes
 the states still live to all of its branches; the root starts from the
-relabeling that fixes only 0 and 1.  A state whose stop cell is still
-undecided, in the table or in its relabeling, is passed on as it is,
-which is most of them.  A decided cell never changes in a subtree, so a
+relabeling that fixes only 0 and 1.  A state records the cell that
+blocks it, undecided in the table or in its relabeling; while that cell
+stays undecided the state is passed on as it is, which is most of them.
+A decided cell never changes in a subtree, so a
 relabeling proved larger stays larger, one proved smaller cuts the node,
 and a stopped comparison goes on exactly where a fresh start would reach
 it: the cuts, and so the nodes and the emitted tables, are those of a
@@ -106,9 +109,11 @@ def _snapshot(S, n):
 
 def _root_states(n):
     """The live states of a table with no interior cell decided: the
-    relabeling that fixes only 0 and the unit 1, stopped at cell (2, 2).
-    Size 2 has no interior cell and no other relabeling, so none."""
-    return [(bytes([0, 1] + [0] * (n - 2)), 2, 2)] if n > 2 else []
+    relabeling that fixes only 0 and the unit 1, stopped and blocked at
+    cell (2, 2).  Size 2 has no interior cell and no other relabeling, so
+    none."""
+    start = 2 * n + 2
+    return [(start, start, bytes([0, 1] + [0] * (n - 2)) * 2)] if n > 2 else []
 
 
 def _resume_relabelings(S, n, states):
@@ -122,17 +127,22 @@ def _resume_relabelings(S, n, states):
     Rows 0 and 1 and columns 0 and 1 agree under every such relabeling, so
     comparisons start at cell (2, 2).  A comparison stops with no verdict
     at the first cell (u, w) that is undecided in S or in the relabeled
-    table; the live state (bytes(order), u, w), order[new] = old with 0 for
-    a new index not chosen yet, records where.  A relabeling proved larger
-    is dropped, as is a complete tie, which is an automorphism.
+    table.  The live state (block, stop, rel) records where: stop is
+    u * n + w; rel is 2n bytes, order[new] = old and then its inverse
+    perm[old] = new, with 0 for an index not placed yet; block is stop if
+    S's cell there is undecided, else the relabeled cell's position
+    order[u] * n + order[w], which is the undecided one.  A relabeling
+    proved larger is dropped, as is a complete tie, which is an
+    automorphism.
 
     Cells decided in S stay decided, with the same value, in every table
     that extends S.  So on such a table the comparisons that states left
     undecided go on from their stop cells, a dropped relabeling stays
     larger, and the verdict and live states equal those of a start from
-    _root_states.  A state whose stop cell is still undecided, in S or in
-    the relabeled table, would stop there again, and is kept unchanged
-    without rebuilding its relabeling.
+    _root_states.  A state whose block is still undecided would stop there
+    again with the same block, and is kept unchanged, one lookup for most
+    states; one whose block is decided is resumed, and stops again at once
+    if the other cell is still undecided.
 
     Relabeled row 2 is built column by column, choosing the old element
     for each new index as it is needed.  A cell whose value is not placed
@@ -144,24 +154,27 @@ def _resume_relabelings(S, n, states):
     far involves them.
     """
     live = []
-    # the relabeling being resumed; perm, its inverse, is kept only while
-    # row 2 is built, as a complete relabeling is not changed
-    order = perm = None
+    # the relabeling being resumed: the carried bytes when complete, as it
+    # is not changed, and a bytearray while row 2 is built
+    rel = None
 
-    def stop(u, w):
-        live.append((bytes(order), u, w))
+    def stop(block, pos):
+        live.append((block, pos, bytes(rel)))
         return False
 
     def later_rows(u, w):
         for u in range(u, n):
-            row_old = order[u] * n
+            row_old = rel[u] * n
             base = u * n
             for w in range(w, n):
                 cur = S[base + w]
-                v = S[row_old + order[w]]
-                if cur == UNASSIGNED or v == UNASSIGNED:
-                    return stop(u, w)
-                pv = v if v < 0 else order.index(v)
+                old = row_old + rel[w]
+                v = S[old]
+                if cur == UNASSIGNED:
+                    return stop(base + w, base + w)
+                if v == UNASSIGNED:
+                    return stop(old, base + w)
+                pv = v if v < 0 else rel[n + v]
                 if pv != cur:
                     return pv < cur
             w = 2  # the next row starts at column 2
@@ -170,25 +183,27 @@ def _resume_relabelings(S, n, states):
     def row2_from(w):
         if w == n:
             return later_rows(3, 2)
-        if S[2 * n + w] == UNASSIGNED:
-            return stop(2, w)
-        if order[w]:
+        pos = 2 * n + w
+        if S[pos] == UNASSIGNED:
+            return stop(pos, pos)
+        if rel[w]:
             return cell(w)
         for x in range(2, n):
-            if not perm[x]:
-                order[w], perm[x] = x, w
+            if not rel[n + x]:
+                rel[w], rel[n + x] = x, w
                 if cell(w):
                     return True
-                order[w] = perm[x] = 0
+                rel[w] = rel[n + x] = 0
         return False
 
     def cell(w):
-        v = S[order[2] * n + order[w]]
+        old = rel[2] * n + rel[w]
+        v = S[old]
         cur = S[2 * n + w]
         if v == UNASSIGNED:
-            return stop(2, w)
-        if v < 0 or perm[v]:
-            pv = v if v < 0 else perm[v]
+            return stop(old, 2 * n + w)
+        if v < 0 or rel[n + v]:
+            pv = v if v < 0 else rel[n + v]
             if pv != cur:
                 return pv < cur
             return row2_from(w + 1)
@@ -199,32 +214,28 @@ def _resume_relabelings(S, n, states):
         # the least free index decides: below cur the cell is smaller, at
         # cur it ties, above cur every choice is larger
         for p in range(w + 1, cur + 1):
-            if not order[p]:
-                order[p], perm[v] = v, p
+            if not rel[p]:
+                rel[p], rel[n + v] = v, p
                 if p < cur or row2_from(w + 1):
                     return True
-                order[p] = perm[v] = 0
+                rel[p] = rel[n + v] = 0
                 return False
         return False
 
     for state in states:
-        o, u, w = state
-        # the fast path: a stop cell still undecided stops the state again
-        if S[u * n + w] == UNASSIGNED or o[w] and o[u] and S[o[u] * n + o[w]] == UNASSIGNED:
+        block, pos, rel = state
+        # the fast path: a block still undecided stops the state again
+        if S[block] == UNASSIGNED:
             live.append(state)
             continue
+        u, w = divmod(pos, n)
         if u > 2:
-            # a complete relabeling: compared in place, as the bytes it is
-            order = o
             found = later_rows(u, w)
         else:
-            order = list(o)
-            perm = [0] * n
-            for new, old in enumerate(o):
-                if old:
-                    perm[old] = new
+            rel = bytearray(rel)
             found = row2_from(w)
         if found:
+            order = rel[:n]
             placed = {old: new for new, old in enumerate(order) if old}
             free = (p for p in range(2, n) if not order[p])
             return [0] + [placed.get(x) or next(free) for x in range(1, n)], None
@@ -299,23 +310,25 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
         return True
 
     def propagate():
+        # a check(a, b, c) whose b + c is not defined passes at once, so
+        # it is not called
         while queue:
             pos = queue.pop()
             i, j = divmod(pos, n)
+            defined = S[pos] >= 0  # b + c of check(t, i, j) and check(t, j, i)
             for t in range(2, n):
-                if not (check(t, i, j) and check(i, j, t)):
+                if defined and not check(t, i, j) or S[j * n + t] >= 0 and not check(i, j, t):
                     return False
-                if i != j and not (check(t, j, i) and check(j, i, t)):
+                if i != j and (defined and not check(t, j, i)
+                               or S[i * n + t] >= 0 and not check(j, i, t)):
                     return False
-            for b in range(2, n):
-                base = b * n
-                for c in range(2, n):
-                    w = S[base + c]
-                    if w == j:
-                        if not (check(i, b, c) and check(b, c, i)):
-                            return False
-                    elif w == i and i != j:
-                        if not (check(j, b, c) and check(b, c, j)):
+            # the triples with b + c = y: row b != y holds y iff its mask
+            # says so, and then in one column only (cancellation)
+            for y, x in ((j, i), (i, j)) if i != j else ((j, i),):
+                for b in range(2, n):
+                    if (used[b] >> y) & 1 and b != y:
+                        c = S.index(y, b * n + 2, b * n + n) - b * n
+                        if not check(x, b, c) or S[c * n + x] >= 0 and not check(b, c, x):
                             return False
         return True
 

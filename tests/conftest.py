@@ -172,6 +172,25 @@ def scan_canonical(t):
     return ek.serialize(ek.EffectAlgebraTable.from_rows(n, 1, rows))
 
 
+def automorphism_count(t):
+    """Brute force: how many relabelings that fix 0 and the unit map the
+    table t to itself."""
+    n, s = t.size, t.sum
+    rest = [y for y in range(1, n) if y != t.one]
+    count = 0
+    for tail in permutations(rest):
+        perm = [0] * n
+        perm[t.one] = t.one
+        for old, new in zip(rest, tail):
+            perm[old] = new
+        count += all(
+            s[perm[a]][perm[b]] == (UNDEF if s[a][b] < 0 else perm[s[a][b]])
+            for a in range(n)
+            for b in range(n)
+        )
+    return count
+
+
 def counted_search(monkeypatch, n):
     """Size n's keys from one search of the whole size, its first cell not
     split, and the number of prefix tests made."""

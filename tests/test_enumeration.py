@@ -6,8 +6,10 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import closing
 from itertools import permutations, product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -29,19 +31,35 @@ from effectkit.enumeration import (
 )
 from effectkit.lemmas import has_trivial_sharps, is_homogeneous
 
-from conftest import chain_multisets, counted_search, partitions, scan_canonical
+from conftest import (
+    automorphism_count,
+    chain_multisets,
+    counted_search,
+    partitions,
+    scan_canonical,
+)
 
 GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
 # sha256 of the concatenated keys of sizes 2..8 and 2..9
 KEYS_SHA256_TO_8 = "24ae786e1883e3ea88f250f5e6bfd575c37d57f2f82bde18efa4da28e7e9f712"
 KEYS_SHA256_TO_9 = "1bdb445ee3926590f744d2eb627f21758670af8dbb027dc4d3c57849693d354d"
-# sha256 of the concatenated keys of size 10 alone
+# sha256 of the concatenated keys of size 10 alone, and of size 11 alone
 KEYS_SHA256_AT_10 = "267e597e9ce5fe350e4570e53b365fc46ef21d7ba393db2654080391edcbdee2"
+KEYS_SHA256_AT_11 = "02fa311fd760be367068fe41e6174f12ead4dc56eea18be9840bad7b68a2d04f"
 # calls of the prefix test in a search of a whole size, one per node
 # reached: the search's cuts, which a change to propagation or pruning moves
 PREFIX_TESTS = {2: 1, 3: 2, 4: 7, 5: 25, 6: 102, 7: 268, 8: 839}
 PREFIX_TESTS_AT_9 = 2105
 PREFIX_TESTS_AT_10 = 6118
+PREFIX_TESTS_AT_11 = 16211
+# labeled tables with the unit at 1 that the unfiltered search emits
+UNFILTERED_COUNTS = {2: 1, 3: 1, 4: 4, 5: 16, 6: 142, 7: 1006}
+
+# one search of size 11 takes about half of a test's time limit
+size_11 = pytest.mark.skipif(
+    os.environ.get("EFFECTKIT_SIZE_11") != "1",
+    reason="size 11 searches only with EFFECTKIT_SIZE_11=1",
+)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +143,50 @@ def test_size_10_count_and_hypothesis_class(size_10_search):
     assert enumerate_all(10, parallel=2) == keys
 
 
+@size_11
+def test_size_11_count_and_hypothesis_class(monkeypatch):
+    keys, prefix_tests = counted_search(monkeypatch, 11)
+    assert prefix_tests == PREFIX_TESTS_AT_11
+    assert len(keys) == 282
+    assert _keys_sha256([keys]) == KEYS_SHA256_AT_11
+    row = survey_row(11, keys)
+    assert row.as_tsv() == "11\t282\t87\t140\t30\t30\t0"
+    assert row.hypothesis_class == sum(1 for _ in partitions(9))
+
+
+@size_11
+def test_size_11_parallel_matches_the_pin():
+    keys = enumerate_all(11, max_size=11, parallel=2)
+    assert _keys_sha256([keys]) == KEYS_SHA256_AT_11
+
+
+@pytest.mark.parametrize("n,count", sorted(UNFILTERED_COUNTS.items()))
+def test_orbit_sum_equals_the_unfiltered_count(n, count):
+    # orbit-stabiliser: a class with |Aut| automorphisms fixing 0 and 1
+    # has (n - 2)!/|Aut| labelings with the unit at 1, and the unfiltered
+    # search, which makes no prefix test, emits every one
+    assert len(_enumerate_tables(n, leaf_filter=False)) == count
+    orbits = [divmod(factorial(n - 2), automorphism_count(ek.parse(key)))
+              for key in enumerate_all(n)]
+    assert all(rest == 0 for _, rest in orbits)
+    assert sum(size for size, _ in orbits) == count
+
+
+def test_hypothesis_class_automorphisms_swap_equal_chains():
+    # a chain fixing 0 and 1 is rigid, and only chains of one length can
+    # be swapped: |Aut| is the product of m! over the multiplicities m
+    swapped = 0
+    for n in range(2, 9):
+        for key in enumerate_all(n):
+            e = validate(ek.parse(key))
+            if is_homogeneous(e) and has_trivial_sharps(e):
+                repeats = Counter(ek.decompose(e).chain_lengths).values()
+                auts = automorphism_count(e.table)
+                assert auts == prod(map(factorial, repeats))
+                swapped += auts > 1
+    assert swapped > 0
+
+
 def test_carried_states_equal_a_start_from_the_root_at_size_7(monkeypatch):
     # at every node of the search, resuming the parent's live states gives
     # the same verdict and the same live states as starting afresh
@@ -136,6 +198,15 @@ def test_carried_states_equal_a_start_from_the_root_at_size_7(monkeypatch):
         nodes += 1
         got = real(S, m, states)
         assert got == real(S, m, _root_states(m))
+        for block, stop, rel in got[1] or ():
+            # the block is undecided: stop's cell, or the relabeled cell
+            assert S[block] == UNASSIGNED
+            u, w = divmod(stop, m)
+            assert block == stop or rel[u] and rel[w] and block == rel[u] * m + rel[w]
+            # rel is order, then its inverse, on the indices placed so far
+            order, perm = rel[:m], rel[m:]
+            assert all(perm[old] == new for new, old in enumerate(order) if old)
+            assert all(order[new] == old for old, new in enumerate(perm) if new)
         return got
 
     monkeypatch.setattr(en, "_resume_relabelings", checked)
@@ -159,25 +230,25 @@ def test_emitted_tables_are_their_own_canonical_form(n):
 
 
 def _naive_prefix_compare(S, n, order):
-    """-1 if the relabeling order (order[new] = old, fixing 0 and the unit
-    1) makes the decided prefix of S smaller, 1 if larger, 0 if they agree
-    up to the first undecided cell; cells compared one by one as
-    integers."""
+    """(-1, u) if the relabeling order (order[new] = old, fixing 0 and the
+    unit 1) makes the decided prefix of S smaller, first at a cell of row
+    u, (1, u) if larger, (0, None) if they agree up to the first undecided
+    cell; cells compared one by one as integers."""
     perm = {old: new for new, old in enumerate(order)}
     for u, w in product(range(2, n), repeat=2):
         cur, v = S[u * n + w], S[order[u] * n + order[w]]
         if UNASSIGNED in (cur, v):
-            return 0
+            return 0, None
         pv = v if v < 0 else perm[v]
         if pv != cur:
-            return -1 if pv < cur else 1
-    return 0
+            return (-1 if pv < cur else 1), u
+    return 0, None
 
 
 def _naive_smaller_prefix(S, n):
     """Reference for the prefix test: every relabeling fixing 0 and 1."""
     return any(
-        _naive_prefix_compare(S, n, (0, 1, *tail)) < 0
+        _naive_prefix_compare(S, n, (0, 1, *tail))[0] < 0
         for tail in permutations(range(2, n))
     )
 
@@ -188,7 +259,7 @@ def test_prefix_test_matches_naive_reference(n):
     # undecided, and with a random half of that suffix decided again
     cells = [(i, j) for i in range(2, n) for j in range(i, n)]
     rng = random.Random(n)
-    cases = witnesses = 0
+    cases = witnesses = below_row_2 = 0
     for t in _enumerate_tables(n, leaf_filter=False):
         full = [v for row in t.sum for v in row]
         for cut in range(len(cells) + 1):
@@ -200,21 +271,26 @@ def test_prefix_test_matches_naive_reference(n):
                 got = _resume_relabelings(S, n, _root_states(n))[0]
                 assert (got is not None) == _naive_smaller_prefix(S, n)
                 if got is not None:
-                    _assert_witness(S, n, got)
+                    # a first smaller cell below row 2 comes from a
+                    # complete relabeling, one that tied on row 2
+                    below_row_2 += _assert_witness(S, n, got) > 2
                     witnesses += 1
                 cases += 1
     assert cases > 0
     assert n == 3 or witnesses > 0
+    assert n not in (5, 6) or below_row_2 > 0
 
 
 def _assert_witness(S, n, perm):
     """perm is a relabeling fixing 0 and 1 that makes the decided prefix
-    of S smaller."""
+    of S smaller; returns the row of the first smaller cell."""
     assert perm[:2] == [0, 1] and sorted(perm) == list(range(n))
     order = [0] * n
     for old, new in enumerate(perm):
         order[new] = old
-    assert _naive_prefix_compare(S, n, order) == -1
+    sign, row = _naive_prefix_compare(S, n, order)
+    assert sign == -1
+    return row
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
