@@ -38,6 +38,11 @@ and a stopped comparison goes on exactly where a fresh start would reach
 it: the cuts, and so the nodes and the emitted tables, are those of a
 test from scratch at every node.
 
+The search creates no reference cycles, so reference counting frees a
+node's live states as soon as no branch needs them, and nothing waits for
+the cyclic garbage collector; a tier-1 test,
+test_search_leaves_no_cyclic_garbage, keeps it so.
+
 Parallel runs: one pool of worker processes serves a whole command, every
 size of it.  Its tasks are the searches below each value of the first
 cell (2, 2) (undefined, 1, 3, ..., n - 1) of every size n >= 3, and the
@@ -152,94 +157,127 @@ def _resume_relabelings(S, n, states):
     complete and the later rows are compared directly.  Indices still free
     when a witness is found are filled in any order, as no cell compared so
     far involves them.
+
+    The row-2 search (_row2_from, _row2_cell) and its comparison of the
+    later rows (_later_rows) are module functions that take the table, the
+    relabeling and live.append as arguments, and the later rows of a
+    resumed complete relabeling are compared inline.  So a call defines no
+    function and makes no reference cycle: the live list it returns is
+    freed as soon as the search drops it, as a tier-1 test checks.
     """
     live = []
-    # the relabeling being resumed: the carried bytes when complete, as it
-    # is not changed, and a bytearray while row 2 is built
-    rel = None
-
-    def stop(block, pos):
-        live.append((block, pos, bytes(rel)))
-        return False
-
-    def later_rows(u, w):
-        for u in range(u, n):
-            row_old = rel[u] * n
-            base = u * n
-            for w in range(w, n):
-                cur = S[base + w]
-                old = row_old + rel[w]
-                v = S[old]
-                if cur == UNASSIGNED:
-                    return stop(base + w, base + w)
-                if v == UNASSIGNED:
-                    return stop(old, base + w)
-                pv = v if v < 0 else rel[n + v]
-                if pv != cur:
-                    return pv < cur
-            w = 2  # the next row starts at column 2
-        return False
-
-    def row2_from(w):
-        if w == n:
-            return later_rows(3, 2)
-        pos = 2 * n + w
-        if S[pos] == UNASSIGNED:
-            return stop(pos, pos)
-        if rel[w]:
-            return cell(w)
-        for x in range(2, n):
-            if not rel[n + x]:
-                rel[w], rel[n + x] = x, w
-                if cell(w):
-                    return True
-                rel[w] = rel[n + x] = 0
-        return False
-
-    def cell(w):
-        old = rel[2] * n + rel[w]
-        v = S[old]
-        cur = S[2 * n + w]
-        if v == UNASSIGNED:
-            return stop(old, 2 * n + w)
-        if v < 0 or rel[n + v]:
-            pv = v if v < 0 else rel[n + v]
-            if pv != cur:
-                return pv < cur
-            return row2_from(w + 1)
-        # v is not placed yet: it takes a free index, and all are above w
-        # (so above an undefined cell and the unit)
-        if cur <= 1:
-            return False
-        # the least free index decides: below cur the cell is smaller, at
-        # cur it ties, above cur every choice is larger
-        for p in range(w + 1, cur + 1):
-            if not rel[p]:
-                rel[p], rel[n + v] = v, p
-                if p < cur or row2_from(w + 1):
-                    return True
-                rel[p] = rel[n + v] = 0
-                return False
-        return False
-
+    append = live.append
     for state in states:
         block, pos, rel = state
         # the fast path: a block still undecided stops the state again
         if S[block] == UNASSIGNED:
-            live.append(state)
+            append(state)
             continue
         u, w = divmod(pos, n)
-        if u > 2:
-            found = later_rows(u, w)
-        else:
+        if u == 2:
             rel = bytearray(rel)
-            found = row2_from(w)
+            found = _row2_from(S, n, rel, w, append)
+        else:
+            # a complete relabeling: _later_rows's comparison, inline and
+            # from the stop cell, as most resumed states are complete
+            found = False
+            for u in range(u, n):
+                row_old = rel[u] * n
+                base = u * n
+                for w in range(w, n):
+                    cur = S[base + w]
+                    old = row_old + rel[w]
+                    v = S[old]
+                    if cur == UNASSIGNED or v == UNASSIGNED:
+                        append((base + w if cur == UNASSIGNED else old, base + w, rel))
+                        break
+                    pv = v if v < 0 else rel[n + v]
+                    if pv != cur:
+                        found = pv < cur
+                        break
+                else:
+                    w = 2  # the next row starts at column 2
+                    continue
+                break
         if found:
             order = rel[:n]
             placed = {old: new for new, old in enumerate(order) if old}
             free = (p for p in range(2, n) if not order[p])
             return [0] + [placed.get(x) or next(free) for x in range(1, n)], None
     return None, live
+
+
+def _later_rows(S, n, rel, append):
+    """Compare rows 3 on of the complete relabeling rel, tied on row 2:
+    True if it makes the prefix smaller; False if larger or tied, or if
+    stopped, with its live state appended.  The resume loop of
+    _resume_relabelings holds a copy inline that starts at any cell."""
+    for u in range(3, n):
+        row_old = rel[u] * n
+        base = u * n
+        for w in range(2, n):
+            cur = S[base + w]
+            old = row_old + rel[w]
+            v = S[old]
+            if cur == UNASSIGNED or v == UNASSIGNED:
+                append((base + w if cur == UNASSIGNED else old, base + w, bytes(rel)))
+                return False
+            pv = v if v < 0 else rel[n + v]
+            if pv != cur:
+                return pv < cur
+    return False
+
+
+def _row2_from(S, n, rel, w, append):
+    """Go on building relabeled row 2 at column w, trying each free old
+    element for new index w if none is placed there: True once some choice
+    makes the prefix smaller (rel then holds it), else False with every
+    stopped choice's live state appended."""
+    if w == n:
+        return _later_rows(S, n, rel, append)
+    pos = 2 * n + w
+    if S[pos] == UNASSIGNED:
+        append((pos, pos, bytes(rel)))
+        return False
+    if rel[w]:
+        return _row2_cell(S, n, rel, w, append)
+    for x in range(2, n):
+        if not rel[n + x]:
+            rel[w], rel[n + x] = x, w
+            if _row2_cell(S, n, rel, w, append):
+                return True
+            rel[w] = rel[n + x] = 0
+    return False
+
+
+def _row2_cell(S, n, rel, w, append):
+    """Compare cell (2, w), new index w placed, and go on as _row2_from:
+    the same verdict, and the same states appended."""
+    old = rel[2] * n + rel[w]
+    v = S[old]
+    cur = S[2 * n + w]
+    if v == UNASSIGNED:
+        append((old, 2 * n + w, bytes(rel)))
+        return False
+    if v < 0 or rel[n + v]:
+        pv = v if v < 0 else rel[n + v]
+        if pv != cur:
+            return pv < cur
+        return _row2_from(S, n, rel, w + 1, append)
+    # v is not placed yet: it takes a free index, and all are above w
+    # (so above an undefined cell and the unit)
+    if cur <= 1:
+        return False
+    # the least free index decides: below cur the cell is smaller, at
+    # cur it ties, above cur every choice is larger
+    for p in range(w + 1, cur + 1):
+        if not rel[p]:
+            rel[p], rel[n + v] = v, p
+            if p < cur or _row2_from(S, n, rel, w + 1, append):
+                return True
+            rel[p] = rel[n + v] = 0
+            return False
+    return False
 
 
 def _enumerate_tables(n, first_values=None, leaf_filter=True):
@@ -322,13 +360,21 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
                 if i != j and (defined and not check(t, j, i)
                                or S[i * n + t] >= 0 and not check(j, i, t)):
                     return False
-            # the triples with b + c = y: row b != y holds y iff its mask
-            # says so, and then in one column only (cancellation)
+            # the triples with b + c = y, whose x + (b + c) is the new cell:
+            # row b != y holds y iff its mask says so, and then in one
+            # column only (cancellation).  check(b, c, x), whose (b + c) + x
+            # is the new cell, is not called.  Row c holds y too (c + b = y,
+            # and c != y as b != 0), so this loop also calls check(x, c, b),
+            # the same equation (x + c) + b = x + (c + b) read the other way,
+            # which fails on every table on which check(b, c, x) fails; a
+            # cell that forcing decides between the two is queued, and its
+            # own pass calls check(b, c, x).  Nor can check(b, c, x) force a
+            # cell: the one it would force, (b + c) + x, is the new cell.
             for y, x in ((j, i), (i, j)) if i != j else ((j, i),):
                 for b in range(2, n):
                     if (used[b] >> y) & 1 and b != y:
                         c = S.index(y, b * n + 2, b * n + n) - b * n
-                        if not check(x, b, c) or S[c * n + x] >= 0 and not check(b, c, x):
+                        if not check(x, b, c):
                             return False
         return True
 
@@ -361,7 +407,13 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
                 dfs(idx + 1, states)
             S[:], used[:] = saved
 
-    dfs(0, _root_states(n))
+    try:
+        dfs(0, _root_states(n))
+    finally:
+        # set_cell and dfs call themselves through their closure cells, a
+        # reference cycle; emptying the cells lets the search's state go
+        # at once, not at the cyclic collector's next pass
+        del set_cell, dfs
     return results
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import multiprocessing
@@ -187,7 +188,8 @@ def test_hypothesis_class_automorphisms_swap_equal_chains():
     assert swapped > 0
 
 
-def test_carried_states_equal_a_start_from_the_root_at_size_7(monkeypatch):
+@pytest.mark.parametrize("n", [7, 8])
+def test_carried_states_equal_a_start_from_the_root(monkeypatch, n):
     # at every node of the search, resuming the parent's live states gives
     # the same verdict and the same live states as starting afresh
     real = en._resume_relabelings
@@ -210,8 +212,28 @@ def test_carried_states_equal_a_start_from_the_root_at_size_7(monkeypatch):
         return got
 
     monkeypatch.setattr(en, "_resume_relabelings", checked)
-    assert len(_enumerate_tables(7)) == GOLDEN_COUNTS[7]
-    assert nodes == PREFIX_TESTS[7]
+    assert len(_enumerate_tables(n)) == GOLDEN_COUNTS[n]
+    assert nodes == PREFIX_TESTS[n]
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the search makes no reference cycle, so reference counting frees
+    # whatever it drops and the cyclic collector finds nothing after it
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for run in (
+            lambda: _enumerate_tables(7),
+            lambda: _enumerate_tables(6, leaf_filter=False),
+            lambda: enumerate_all(7),
+            lambda: survey(7),
+        ):
+            run()
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
