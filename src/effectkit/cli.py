@@ -9,7 +9,6 @@ leading constructor name.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -56,8 +55,7 @@ def cmd_analyze(args):
     if args.fmt == "json":
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
-        keys = ("size", "one", "atoms", "sharp", "homogeneous", "lattice", "isotropy")
-        _emit("".join(f"{k}: {json.dumps(doc[k])}\n" for k in keys), args.out)
+        _emit("".join(f"{k}: {json.dumps(doc[k])}\n" for k in report._fields), args.out)
     return EXIT_OK
 
 
@@ -108,7 +106,7 @@ def cmd_enumerate(args):
     else:
         rows = survey(args.max_size, max_size=cap, parallel=args.parallel)
     if args.fmt == "json":
-        doc = [dataclasses.asdict(r) for r in rows]
+        doc = [r._asdict() for r in rows]
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     else:
         sys.stdout.write(survey_tsv(rows))

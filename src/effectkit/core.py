@@ -24,19 +24,16 @@ computed once, on first use, and kept: _bounds, sharp_set, is_lattice
 and homogeneity_witness.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 UNDEF = -1
 
 
-@dataclass(frozen=True)
-class HomogeneityWitness:
+class HomogeneityWitness(namedtuple("HomogeneityWitness", "u v1 v2")):
     """u below a defined sum v1+v2 below u', with no split of u along v1, v2."""
 
-    u: int
-    v1: int
-    v2: int
+    __slots__ = ()
 
 
 class ValidationError(Exception):
@@ -48,36 +45,36 @@ class ValidationError(Exception):
         super().__init__(f"{kind} witness={self.witness}")
 
 
-@dataclass(frozen=True)
-class EffectAlgebraTable:
+class EffectAlgebraTable(namedtuple("EffectAlgebraTable", "size one sum")):
     """Raw partial Cayley table: carrier size, unit index, sum matrix."""
 
-    size: int
-    one: int
-    sum: tuple
+    __slots__ = ()
 
     @staticmethod
     def from_rows(size, one, rows):
         return EffectAlgebraTable(size, one, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class CheckedEffectAlgebra:
+class CheckedEffectAlgebra(
+    namedtuple("CheckedEffectAlgebra", "table ortho atoms by_sum")
+):
     """A validated algebra with its derived order, orthosupplement and atoms.
 
-    by_sum, built once by validate, indexes the defined cells by their sum.
-    The order is held only as the int bitsets of _bounds, which le,
-    is_sharp, sharp_set, interval, meet, join, is_lattice and hasse_covers
-    read.  The derived properties _bounds, sharp_set, is_lattice and
-    homogeneity_witness are cached: each is computed on first use and then
-    read, so it is computed at most once per algebra.  Otherwise immutable
-    after validation; safe to share across concurrent readers.
+    ortho[x] is the unique x' with x + x' = 1, and atoms are the minimal
+    nonzero elements, ascending.  by_sum, built once by validate, indexes
+    the defined cells by their sum: by_sum[t] lists the cells (x, y) with
+    x + y = t, row-major.  The order is held only as the int bitsets of
+    _bounds, which le, is_sharp, sharp_set, interval, meet, join,
+    is_lattice and hasse_covers read.  The derived properties _bounds,
+    sharp_set, is_lattice and homogeneity_witness are cached in the
+    instance __dict__ (so this record has no __slots__): each is computed
+    on first use and then read, at most once per algebra.  Otherwise
+    immutable after validation; safe to share across concurrent readers.
     """
 
-    table: EffectAlgebraTable
-    ortho: tuple      # ortho[x] is the unique x' with x + x' = 1
-    atoms: tuple      # minimal nonzero elements, ascending
-    by_sum: tuple     # by_sum[t]: the cells (x, y) with x + y = t, row-major
+    def __setattr__(self, name, value):
+        # cached_property fills __dict__ directly, so only callers land here
+        raise AttributeError(f"cannot set {name!r}: the algebra is immutable")
 
     @property
     def size(self):

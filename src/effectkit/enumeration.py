@@ -62,8 +62,8 @@ a witness is a counterexample, which the theorem rules out.
 """
 
 import os
+from collections import namedtuple
 from contextlib import closing, nullcontext
-from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import Pool
 
@@ -93,18 +93,11 @@ class SizeTooLarge(SizeError):
     pass
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    size: int
-    total: int
-    homogeneous: int
-    trivial_sharp: int
-    hypothesis_class: int
-    theorem_verified: int
-    counterexamples: int
+class SurveyRow(namedtuple("SurveyRow", SURVEY_COLUMNS)):
+    __slots__ = ()
 
     def as_tsv(self):
-        return "\t".join(str(getattr(self, c)) for c in SURVEY_COLUMNS)
+        return "\t".join(map(str, self))
 
 
 def _snapshot(S, n):

@@ -11,7 +11,7 @@ guard: NotApplicable when the hypothesis does not hold, else Pass, or Fail
 with the body's witness, which re-checks as a genuine violation.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # re-exported: HomogeneityWitness
 from .core import UNDEF, HomogeneityWitness
@@ -22,11 +22,10 @@ FAIL = "Fail"
 NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma_id: str
-    verdict: str
-    witness: tuple | None = None
+class LemmaReport(
+    namedtuple("LemmaReport", "lemma_id verdict witness", defaults=(None,))
+):
+    __slots__ = ()
 
     def render(self):
         line = f"{self.lemma_id} {self.verdict}"
@@ -293,17 +292,13 @@ def render_reports(reports):
     return "\n".join(r.render() for r in reports)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Per-algebra flags surfaced by the analyze command."""
+class AnalysisReport(
+    namedtuple("AnalysisReport", "size one atoms sharp homogeneous lattice isotropy")
+):
+    """Per-algebra flags surfaced by the analyze command; isotropy is
+    aligned with atoms."""
 
-    size: int
-    one: int
-    atoms: tuple
-    sharp: tuple
-    homogeneous: bool
-    lattice: bool
-    isotropy: tuple  # aligned with atoms
+    __slots__ = ()
 
     def as_dict(self):
         return {

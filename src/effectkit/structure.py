@@ -9,7 +9,7 @@ conclusion).  lemmas.check_C2 checks that splitting's labelling against
 every cell of the sum table.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import UNDEF, EffectAlgebraTable
 
@@ -23,15 +23,14 @@ class DecomposeError(Exception):
         super().__init__(f"{kind}: {detail}" if detail is not None else kind)
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(
+    namedtuple("ChainDecomposition", "chain_lengths labeling branch_atoms")
+):
     """Multiset of chain lengths plus the element labeling x -> (branch, k),
     meaning x is the k-fold multiple of branch's atom.  0 and 1 are
     attributed to branch 0 with k = 0 and k = branch length."""
 
-    chain_lengths: tuple
-    labeling: dict
-    branch_atoms: tuple
+    __slots__ = ()
 
     def render(self):
         lines = [f"chains: {list(self.chain_lengths)}"]

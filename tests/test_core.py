@@ -1,6 +1,9 @@
 import ast
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -359,6 +362,56 @@ def test_imports_are_at_module_level_and_acyclic():
         assert leaves, f"import cycle among {sorted(graph)}"
         for m in leaves:
             del graph[m]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # The records are namedtuples: dataclasses would pull in inspect, ast,
+    # dis and tokenize and double the start-up time of every command.  Only
+    # the modules the import adds count, so a site hook that loads them
+    # before the import does not decide the result.
+    code = (
+        "import sys; before = set(sys.modules); import effectkit.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(ek.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "effectkit.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_records_are_read_only():
+    # every field of the seven records, and the algebra's cached
+    # properties, refuse assignment: an algebra is safe to share
+    e = ek.chain(3)
+    records = [
+        (e.table, "size one sum"),
+        (e, "table ortho atoms by_sum sharp_set is_lattice"),
+        (non_homogeneous_fixture().homogeneity_witness, "u v1 v2"),
+        (ek.lemma_suite(e)[0], "lemma_id verdict witness"),
+        (ek.analyze(e), "size one atoms sharp homogeneous lattice isotropy"),
+        (ek.decompose(e), "chain_lengths labeling branch_atoms"),
+        (
+            ek.survey(3)[0],
+            "size total homogeneous trivial_sharp hypothesis_class "
+            "theorem_verified counterexamples",
+        ),
+    ]
+    assert len({type(r).__name__ for r, _ in records}) == 7
+    for record, names in records:
+        for name in names.split():
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            assert getattr(record, name) is value
 
 
 def test_sources_parse_under_the_oldest_supported_python():

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import functools
 import inspect
 import random
@@ -274,7 +273,7 @@ def test_L22_fail_witness_is_the_row_major_first_on_doctored_algebras():
         for m in range(3, k // 2 + 1):
             perm = [0] + rng.sample(range(1, k + 1), k)
             e = ek.validate(ek.relabel(ek.chain(k).table, perm))
-            bad = _doctored(e, atoms=(perm[1], perm[m]))
+            bad = e._replace(atoms=(perm[1], perm[m]))
             fails = [
                 (v1, v2)
                 for v1 in range(1, m)
@@ -355,15 +354,11 @@ def test_no_failures_on_valid_corpus(e):
     assert not any(r.verdict == FAIL for r in lemma_suite(e))
 
 
-def _doctored(e, **overrides):
-    return dataclasses.replace(e, **overrides)
-
-
 def test_fail_paths_on_doctored_algebra():
     # dropping an atom from the cached atom set breaks the covering oracle,
     # exercising Fail reporting and witness soundness plumbing
     h = hsum(2, 2)
-    bad = _doctored(h, atoms=(1,))
+    bad = h._replace(atoms=(1,))
     r = report("L20", bad)
     assert r.verdict == FAIL
     assert r.witness == (2,)
@@ -373,7 +368,7 @@ def test_fail_paths_on_doctored_algebra():
 def test_C1_fail_on_doctored_algebra():
     # pretending a multiple is an atom makes the intervals overlap
     c = ek.chain(4)
-    bad = _doctored(c, atoms=(1, 2))
+    bad = c._replace(atoms=(1, 2))
     r = report("C1", bad)
     assert r.verdict == FAIL
     assert r.witness is not None
