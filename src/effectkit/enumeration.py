@@ -26,17 +26,23 @@ serialization.  The tests pin that with their scan oracle, which keys a
 table by scanning all of its relabelings.
 
 The test is carried down the search rather than started afresh at every
-node.  Each node resumes its parent's live states, the partial
-relabelings whose comparison stopped undecided at some cell, and passes
-the states still live to all of its branches; the root starts from the
-relabeling that fixes only 0 and 1.  A state records the cell that
-blocks it, undecided in the table or in its relabeling; while that cell
-stays undecided the state is passed on as it is, which is most of them.
-A decided cell never changes in a subtree, so a
-relabeling proved larger stays larger, one proved smaller cuts the node,
-and a stopped comparison goes on exactly where a fresh start would reach
-it: the cuts, and so the nodes and the emitted tables, are those of a
-test from scratch at every node.
+node.  Each node resumes its parent's live states, whose comparison
+stopped undecided at some cell, and passes the states still live to all
+of its branches.  A state is one set of relabelings that tie so far: a
+partial relabeling plus an ordered partition of the new indices not yet
+placed, each cell holding the old elements that every compared cell has
+left interchangeable (B. McKay, "Practical graph isomorphism", Congr.
+Numer. 30, 1981).  The root starts from one state with all of 2..n-1 in
+one cell.  A comparison refines a cell by the values it reads, least
+value first, and splits a state only to read a row from one element or to
+follow elements that take the same least value.  A state records the
+undecided cells that block it; while they stay undecided the state is
+passed on as it is, which is most of them.  A decided cell never changes
+in a subtree, so a set proved larger stays larger, one proved smaller
+cuts the node, and a stopped comparison goes on exactly where a fresh
+start would reach it: the cuts, and so the nodes and the emitted tables,
+are those of testing every relabeling on its own, from scratch, at every
+node.
 
 The search creates no reference cycles, so reference counting frees a
 node's live states as soon as no branch needs them, and nothing waits for
@@ -106,12 +112,16 @@ def _snapshot(S, n):
 
 
 def _root_states(n):
-    """The live states of a table with no interior cell decided: the
-    relabeling that fixes only 0 and the unit 1, stopped and blocked at
-    cell (2, 2).  Size 2 has no interior cell and no other relabeling, so
-    none."""
+    """The live states of a table with no interior cell decided: one
+    state, all of 2..n-1 in one cell, stopped and blocked at cell (2, 2).
+    Size 2 has no interior cell and no other relabeling, so none."""
+    if n <= 2:
+        return []
     start = 2 * n + 2
-    return [(start, start, bytes([0, 1] + [0] * (n - 2)) * 2)] if n > 2 else []
+    ident = bytes(range(n))
+    lo = bytes([0, 1] + [2] * (n - 2))
+    hi = bytes([1, 2] + [n] * (n - 2))
+    return [(start, start, ident + ident + lo + hi)]
 
 
 def _resume_relabelings(S, n, states):
@@ -122,162 +132,287 @@ def _resume_relabelings(S, n, states):
 
     Cells are compared in row-major order as integers (undefined -1, the
     unit 1, interior elements 2..n-1), the order the search minimises.
-    Rows 0 and 1 and columns 0 and 1 agree under every such relabeling, so
-    comparisons start at cell (2, 2).  A comparison stops with no verdict
-    at the first cell (u, w) that is undecided in S or in the relabeled
-    table.  The live state (block, stop, rel) records where: stop is
-    u * n + w; rel is 2n bytes, order[new] = old and then its inverse
-    perm[old] = new, with 0 for an index not placed yet; block is stop if
-    S's cell there is undecided, else the relabeled cell's position
-    order[u] * n + order[w], which is the undecided one.  A relabeling
-    proved larger is dropped, as is a complete tie, which is an
-    automorphism.
+    Rows 0 and 1 and columns 0 and 1 agree under every such relabeling,
+    and a cell below the diagonal repeats one compared before it, so row u
+    is compared from column u.  A comparison stops with no verdict at the
+    first cell that is undecided in S or in the relabeled table.
+
+    A live state (blocks, stop, rel) stands for a set of relabelings: rel
+    is 4n bytes, order[new] = old, its inverse perm[old] = new, and for
+    each new index the bounds lo and hi of its cell, an ordered partition
+    of 2..n-1.  The relabelings are those that send each cell's old
+    elements onto the cell's new indices in any order; a cell of one index
+    is a placement.  The elements of a cell are interchangeable in every
+    cell compared so far, so the set ties with S up to stop, the cell
+    u * n + w where it stopped.  blocks is the undecided cell, or a tuple
+    of the undecided cells, whose decision can move the comparison on;
+    while none is decided the state is kept as it is, which is most of
+    them.
+
+    _compare goes on from stop.  Row u is read from one element, so a cell
+    holding index u splits into one state per element.  A later cell is
+    refined by the values its elements take in row u, least value first:
+    those undefined in the row form one cell, which every other order
+    makes larger, and an element whose value is not placed yet places it
+    at the least index of its cell (the least free index decides).  The
+    state splits when more than one element can take the least value, or
+    stops whole at a cell with elements whose value is undecided; it then
+    waits for all of them, after a probe of the decided ones for a
+    smaller relabeling.  A set proved larger is dropped, as is a complete
+    tie, which is an automorphism.
 
     Cells decided in S stay decided, with the same value, in every table
-    that extends S.  So on such a table the comparisons that states left
-    undecided go on from their stop cells, a dropped relabeling stays
-    larger, and the verdict and live states equal those of a start from
-    _root_states.  A state whose block is still undecided would stop there
-    again with the same block, and is kept unchanged, one lookup for most
-    states; one whose block is decided is resumed, and stops again at once
-    if the other cell is still undecided.
-
-    Relabeled row 2 is built column by column, choosing the old element
-    for each new index as it is needed.  A cell whose value is not placed
-    yet can be made smaller (placed at a free index below the current
-    cell: done), must equal the current cell (which places it), or can
-    only be larger (dropped).  Once row 2 is equal the relabeling is
-    complete and the later rows are compared directly.  Indices still free
-    when a witness is found are filled in any order, as no cell compared so
-    far involves them.
-
-    The row-2 search (_row2_from, _row2_cell) and its comparison of the
-    later rows (_later_rows) are module functions that take the table, the
-    relabeling and live.append as arguments, and the later rows of a
-    resumed complete relabeling are compared inline.  So a call defines no
-    function and makes no reference cycle: the live list it returns is
-    freed as soon as the search drops it, as a tier-1 test checks.
+    that extends S, and a state's progress depends only on the cells it
+    read.  So on such a table the live states go on from their stops, and
+    the verdict and live states equal those of a start from _root_states:
+    the same verdict as testing every relabeling on its own.  The helpers
+    are module functions, so a call makes no reference cycle and the live
+    list is freed as soon as the search drops it, as a tier-1 test checks.
     """
     live = []
     append = live.append
     for state in states:
-        block, pos, rel = state
-        # the fast path: a block still undecided stops the state again
-        if S[block] == UNASSIGNED:
+        block = state[0]
+        if (
+            S[block] == UNASSIGNED
+            if block.__class__ is int
+            else all(S[b] == UNASSIGNED for b in block)
+        ):
             append(state)
             continue
-        u, w = divmod(pos, n)
-        if u == 2:
-            rel = bytearray(rel)
-            found = _row2_from(S, n, rel, w, append)
-        else:
-            # a complete relabeling: _later_rows's comparison, inline and
-            # from the stop cell, as most resumed states are complete
-            found = False
-            for u in range(u, n):
-                row_old = rel[u] * n
-                base = u * n
-                for w in range(w, n):
-                    cur = S[base + w]
-                    old = row_old + rel[w]
-                    v = S[old]
-                    if cur == UNASSIGNED or v == UNASSIGNED:
-                        append((base + w if cur == UNASSIGNED else old, base + w, rel))
-                        break
-                    pv = v if v < 0 else rel[n + v]
-                    if pv != cur:
-                        found = pv < cur
-                        break
-                else:
-                    w = 2  # the next row starts at column 2
-                    continue
-                break
-        if found:
-            order = rel[:n]
-            placed = {old: new for new, old in enumerate(order) if old}
-            free = (p for p in range(2, n) if not order[p])
-            return [0] + [placed.get(x) or next(free) for x in range(1, n)], None
+        rel = _compare(S, n, state[2], state[1], append, b"")
+        if rel is not None:
+            return list(rel[n : 2 * n]), None
     return None, live
 
 
-def _later_rows(S, n, rel, append):
-    """Compare rows 3 on of the complete relabeling rel, tied on row 2:
-    True if it makes the prefix smaller; False if larger or tied, or if
-    stopped, with its live state appended.  The resume loop of
-    _resume_relabelings holds a copy inline that starts at any cell."""
-    for u in range(3, n):
-        row_old = rel[u] * n
-        base = u * n
-        for w in range(2, n):
-            cur = S[base + w]
-            old = row_old + rel[w]
-            v = S[old]
-            if cur == UNASSIGNED or v == UNASSIGNED:
-                append((base + w if cur == UNASSIGNED else old, base + w, bytes(rel)))
-                return False
-            pv = v if v < 0 else rel[n + v]
-            if pv != cur:
-                return pv < cur
-    return False
+def _swap(rel, n, x, at):
+    """Put old element x at new index at, where the old element there goes
+    to x's index: the cells stay as they are."""
+    y, px = rel[at], rel[n + x]
+    rel[at], rel[px] = x, y
+    rel[n + x], rel[n + y] = at, px
 
 
-def _row2_from(S, n, rel, w, append):
-    """Go on building relabeled row 2 at column w, trying each free old
-    element for new index w if none is placed there: True once some choice
-    makes the prefix smaller (rel then holds it), else False with every
-    stopped choice's live state appended."""
-    if w == n:
-        return _later_rows(S, n, rel, append)
-    pos = 2 * n + w
-    if S[pos] == UNASSIGNED:
-        append((pos, pos, bytes(rel)))
-        return False
-    if rel[w]:
-        return _row2_cell(S, n, rel, w, append)
-    for x in range(2, n):
-        if not rel[n + x]:
-            rel[w], rel[n + x] = x, w
-            if _row2_cell(S, n, rel, w, append):
-                return True
-            rel[w] = rel[n + x] = 0
-    return False
+def _place(rel, n, x, at):
+    """The state rel, with the cell that starts at new index at split in
+    two: old element x alone at at, the rest after it.  A bytearray is
+    changed in place, bytes are copied first."""
+    if rel.__class__ is bytes:
+        rel = bytearray(rel)
+    _swap(rel, n, x, at)
+    hi = rel[3 * n + at]
+    rel[3 * n + at] = at + 1
+    rel[2 * n + at + 1 : 2 * n + hi] = bytes([at + 1]) * (hi - at - 1)
+    return rel
 
 
-def _row2_cell(S, n, rel, w, append):
-    """Compare cell (2, w), new index w placed, and go on as _row2_from:
-    the same verdict, and the same states appended."""
-    old = rel[2] * n + rel[w]
-    v = S[old]
-    cur = S[2 * n + w]
-    if v == UNASSIGNED:
-        append((old, 2 * n + w, bytes(rel)))
-        return False
-    if v < 0 or rel[n + v]:
-        pv = v if v < 0 else rel[n + v]
-        if pv != cur:
-            return pv < cur
-        return _row2_from(S, n, rel, w + 1, append)
-    # v is not placed yet: it takes a free index, and all are above w
-    # (so above an undefined cell and the unit)
-    if cur <= 1:
-        return False
-    # the least free index decides: below cur the cell is smaller, at
-    # cur it ties, above cur every choice is larger
-    for p in range(w + 1, cur + 1):
-        if not rel[p]:
-            rel[p], rel[n + v] = v, p
-            if p < cur or _row2_from(S, n, rel, w + 1, append):
-                return True
-            rel[p] = rel[n + v] = 0
-            return False
-    return False
+def _split(rel, n, first, at, hi):
+    """The state rel, with the cell [at, hi) split in two: the old elements
+    of first, then the rest, each in a cell of its own."""
+    rel = bytearray(rel)
+    first = bytes(first)
+    mid = at + len(first)
+    rel[at:hi] = first + rel[at:hi].translate(None, first)
+    for q in range(at, hi):
+        rel[n + rel[q]] = q
+    rel[2 * n + at : 2 * n + hi] = bytes([at]) * (mid - at) + bytes([mid]) * (hi - mid)
+    rel[3 * n + at : 3 * n + mid] = bytes([mid]) * (mid - at)
+    return rel
+
+
+def _compare(S, n, rel, pos, append, probed):
+    """Go on comparing the state rel from cell pos.  Returns a relabeling
+    of rel that makes the prefix smaller, as rel with more placed, or None
+    with the states still live appended.  The old elements in probed are
+    never placed at an index of their cell, only as a value (see _probe).
+    rel is changed in place if it is a bytearray, which the caller gives
+    up."""
+    lo, hi = 2 * n, 3 * n
+    u, p = divmod(pos, n)
+    row = rel[u] * n
+    while True:
+        if p == n:
+            u += 1
+            if u == n:
+                return None  # a complete tie: an automorphism
+            p = u
+            row = rel[u] * n
+        stop = u * n + p
+        cur = S[stop]
+        if cur == UNASSIGNED:
+            append((stop, stop, bytes(rel)))
+            return None
+        end = rel[hi + p]
+        if end == p + 1:
+            # one element: compare its cell
+            v = S[row + rel[p]]
+            if v == UNASSIGNED:
+                append((row + rel[p], stop, bytes(rel)))
+                return None
+            if v > 1:
+                q = rel[n + v]
+                first = rel[lo + q]
+                if rel[hi + q] - first > 1:
+                    # v is not placed: the least index of its cell decides
+                    if first > cur:
+                        return None
+                    rel = _place(rel, n, v, first)
+                    q = first
+                v = q
+            if v != cur:
+                return rel if v < cur else None
+            p += 1
+        elif p == u:
+            # row u is read from one element: one state per element
+            base = bytearray(rel)
+            base[hi + u] = u + 1
+            base[lo + u + 1 : lo + end] = bytes([u + 1]) * (end - u - 1)
+            for x in rel[u:end]:
+                v = S[x * n + x]
+                fixed = v == UNDEF or v == 1  # the same under every relabeling
+                if fixed and v != cur:
+                    if v > cur:
+                        continue
+                    _swap(base, n, x, u)
+                    return base
+                child = bytearray(base)
+                _swap(child, n, x, u)
+                if v == UNASSIGNED:
+                    append((x * n + x, stop, bytes(child)))
+                    continue
+                # a tie on an undefined or unit diagonal goes on at once
+                child = _compare(S, n, child, stop + fixed, append, probed)
+                if child is not None:
+                    return child
+            return None
+        else:
+            # refine the cell [p, end) by the values of row u, least first
+            members = rel[p:end]
+            if probed:
+                members = members.translate(None, probed)
+                if not members:
+                    return None  # only probed elements are left
+            values = [S[row + x] for x in members]
+            if UNASSIGNED in values:
+                return _probe(S, n, rel, stop, append, members, values)
+            block = values.count(UNDEF)
+            if block:
+                # the elements undefined in this row come first, in one
+                # cell: every other order is larger at the first cell
+                # where it differs, and the cell ties while S's cells
+                # are undefined
+                if block < end - p:
+                    rel = _split(rel, n, _undefined(members, values), p, end)
+                j = _first_defined(S, stop, block)
+                if j is not None:
+                    if S[j] == UNASSIGNED:
+                        append((j, stop, bytes(rel)))
+                        return None
+                    return rel
+                p += block
+                continue
+            least, ties = _least(n, rel, p, members, values)
+            if least > cur:
+                return None
+            # one state per element that takes the least value
+            last = len(ties) - 1
+            for k, (x, v) in enumerate(ties):
+                child = _place(rel if k == last else bytearray(rel), n, x, p)
+                if v > 1:
+                    q = child[n + v]
+                    if child[hi + q] - child[lo + q] > 1:
+                        child = _place(child, n, v, child[lo + q])
+                if least < cur:
+                    return child
+                if k == last:
+                    rel = child
+                else:
+                    child = _compare(S, n, child, stop + 1, append, probed)
+                    if child is not None:
+                        return child
+            p += 1
+
+
+def _undefined(members, values):
+    """The elements of members whose value is undefined."""
+    return [x for x, v in zip(members, values) if v == UNDEF]
+
+
+def _least(n, rel, p, members, values):
+    """The least value above undefined that an element of the cell at p
+    with a decided value in the row can take there, and the (element,
+    value) pairs that take it; n and no pairs if there is none.  An
+    interior value takes its index if placed, else the least index of its
+    cell, or p + 1 if that cell is this one."""
+    if 1 in values:
+        return 1, [(members[values.index(1)], 1)]
+    lo = 2 * n
+    least = n
+    ties = []
+    for x, v in zip(members, values):
+        if v < 2:
+            continue
+        first = rel[lo + rel[n + v]]
+        if first == p:
+            first += 1
+        if first < least:
+            least, ties = first, [(x, v)]
+        elif first == least:
+            ties.append((x, v))
+    return least, ties
+
+
+def _first_defined(S, start, count):
+    """The first of the count cells of S from start that is not undefined,
+    or None."""
+    for j in range(start, start + count):
+        if S[j] != UNDEF:
+            return j
+    return None
+
+
+def _probe(S, n, rel, stop, append, members, values):
+    """The cell at stop holds elements whose value in the row is
+    undecided.  A relabeling stops at the first of them, so only one that
+    places decided ones first can make the prefix smaller, and only if
+    their least value does not exceed S's cell.  Returns such a
+    relabeling if there is one, else None with the state appended,
+    stopped here and blocked until one of those values or a cell that the
+    probe stopped at is decided."""
+    p = stop % n
+    row = rel[stop // n] * n
+    blocks = [row + x for x, v in zip(members, values) if v == UNASSIGNED]
+    undefined = values.count(UNDEF)
+    if undefined:
+        # the decided undefined ones come first, so only what follows them
+        # needs the probe
+        j = _first_defined(S, stop, undefined)
+        if j is None:
+            probe = undefined + len(blocks) < len(members)
+        elif S[j] == UNASSIGNED:
+            blocks.append(j)
+            probe = False
+        else:
+            return _split(rel, n, _undefined(members, values), p, p + len(members))
+    else:
+        probe = _least(n, rel, p, members, values)[0] <= S[stop]
+    if probe:
+        stopped = []
+        probed = bytes(x for x, v in zip(members, values) if v == UNASSIGNED)
+        probe = _compare(S, n, bytes(rel), stop, stopped.append, probed)
+        if probe is not None:
+            return probe
+        blocks += [state[0] for state in stopped if state[0] not in blocks]
+    append((blocks[0] if len(blocks) == 1 else tuple(blocks), stop, bytes(rel)))
+    return None
 
 
 def _enumerate_tables(n, first_values=None, leaf_filter=True):
     """All valid tables with unit 1: one canonical labeling per class when
     leaf_filter is on, every labeled table otherwise.  The state is the
     table S and the row masks used, restored by copy after each branch,
-    and the live relabelings of the prefix test, a new list per node."""
+    and the live states of the prefix test, a new list per node."""
     one = 1
     S = [UNASSIGNED] * (n * n)
     used = [1 << x for x in range(n)]  # x + 0 = x puts x in row x

@@ -53,13 +53,21 @@ PREFIX_TESTS = {2: 1, 3: 2, 4: 7, 5: 25, 6: 102, 7: 268, 8: 839}
 PREFIX_TESTS_AT_9 = 2105
 PREFIX_TESTS_AT_10 = 6118
 PREFIX_TESTS_AT_11 = 16211
+# live states handed to the prefix test over a whole search, one per set of
+# relabelings that tie so far; one state per relabeling gave 3,435 and 35,602
+STATES_HANDED = {7: 1616, 8: 8144}
+# horizontal sums of chains, by chain lengths, whose ordered partitions keep
+# the largest cells: n - 2 two-element chains, repeated chains, and the one
+# chain of length n - 1
+SYMMETRIC_SUMS = {7: [(2,) * 5, (3, 3, 2), (6,)], 8: [(2,) * 6, (3, 3, 3), (7,)]}
 # labeled tables with the unit at 1 that the unfiltered search emits
 UNFILTERED_COUNTS = {2: 1, 3: 1, 4: 4, 5: 16, 6: 142, 7: 1006}
 
-# one search of size 11 takes about half of a test's time limit
+# the serial size-11 search takes a few seconds; the --parallel 2 one is
+# opt-in
 size_11 = pytest.mark.skipif(
     os.environ.get("EFFECTKIT_SIZE_11") != "1",
-    reason="size 11 searches only with EFFECTKIT_SIZE_11=1",
+    reason="size 11 with --parallel 2 only with EFFECTKIT_SIZE_11=1",
 )
 
 
@@ -144,7 +152,6 @@ def test_size_10_count_and_hypothesis_class(size_10_search):
     assert enumerate_all(10, parallel=2) == keys
 
 
-@size_11
 def test_size_11_count_and_hypothesis_class(monkeypatch):
     keys, prefix_tests = counted_search(monkeypatch, 11)
     assert prefix_tests == PREFIX_TESTS_AT_11
@@ -200,20 +207,73 @@ def test_carried_states_equal_a_start_from_the_root(monkeypatch, n):
         nodes += 1
         got = real(S, m, states)
         assert got == real(S, m, _root_states(m))
-        for block, stop, rel in got[1] or ():
-            # the block is undecided: stop's cell, or the relabeled cell
-            assert S[block] == UNASSIGNED
-            u, w = divmod(stop, m)
-            assert block == stop or rel[u] and rel[w] and block == rel[u] * m + rel[w]
-            # rel is order, then its inverse, on the indices placed so far
-            order, perm = rel[:m], rel[m:]
-            assert all(perm[old] == new for new, old in enumerate(order) if old)
-            assert all(order[new] == old for old, new in enumerate(perm) if new)
+        for blocks, stop, rel in got[1] or ():
+            # every block cell is undecided in S
+            blocks = (blocks,) if isinstance(blocks, int) else blocks
+            assert blocks and all(S[b] == UNASSIGNED for b in blocks)
+            # no old element sits in two places: order and its inverse
+            # perm place each of 2..m-1 once
+            order, perm, lo, hi = (rel[k * m : (k + 1) * m] for k in range(4))
+            assert sorted(order[2:]) == list(range(2, m))
+            assert all(perm[old] == new for new, old in enumerate(order))
+            # the placements (cells of one index) and the partition's
+            # cells cover 2..m-1 once, each index knowing its cell's bounds
+            new = 2
+            while new < m:
+                assert new < hi[new] <= m
+                assert all(lo[q] == new and hi[q] == hi[new] for q in range(new, hi[new]))
+                new = hi[new]
         return got
 
     monkeypatch.setattr(en, "_resume_relabelings", checked)
     assert len(_enumerate_tables(n)) == GOLDEN_COUNTS[n]
     assert nodes == PREFIX_TESTS[n]
+
+
+@pytest.mark.parametrize("n,count", sorted(STATES_HANDED.items()))
+def test_live_state_counts_are_pinned(monkeypatch, n, count):
+    real = en._resume_relabelings
+    handed = 0
+
+    def counting(S, m, states):
+        nonlocal handed
+        handed += len(states)
+        return real(S, m, states)
+
+    monkeypatch.setattr(en, "_resume_relabelings", counting)
+    assert len(_enumerate_tables(n)) == GOLDEN_COUNTS[n]
+    assert handed == count
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_a_state_wakes_when_any_of_its_block_cells_is_decided(n):
+    # a state blocked on several cells goes on as soon as one of them is
+    # decided, whichever it is: decide just that cell of a partial table,
+    # and the carried states equal a start from the root.  In the searches
+    # of sizes up to 10 no other block cell is decided before the first,
+    # so the tests above cannot tell.  Every labeled table of size 6, the
+    # symmetric sums at sizes 7 and 8
+    if n in SYMMETRIC_SUMS:
+        tables = [_horizontal_sum_of_chains(lengths) for lengths in SYMMETRIC_SUMS[n]]
+    else:
+        tables = [[v for row in t.sum for v in row] for t in _enumerate_tables(n, leaf_filter=False)]
+    cells = [(i, j) for i in range(2, n) for j in range(i, n)]
+    woken = 0
+    for full in tables:
+        for cut in range(len(cells) + 1):
+            S = list(full)
+            for i, j in cells[cut:]:
+                S[i * n + j] = S[j * n + i] = UNASSIGNED
+            witness, states = _resume_relabelings(S, n, _root_states(n))
+            for blocks, _, _ in states or ():
+                for b in blocks if isinstance(blocks, tuple) else ():
+                    i, j = divmod(b, n)
+                    later = list(S)
+                    later[b] = later[j * n + i] = full[b]
+                    assert _resume_relabelings(later, n, states) == _resume_relabelings(
+                        later, n, _root_states(n))
+                    woken += 1
+    assert woken > 0
 
 
 def test_search_leaves_no_cyclic_garbage():
@@ -315,39 +375,108 @@ def _assert_witness(S, n, perm):
     return row
 
 
+def _carried_chain(full, n, rng):
+    """Check the prefix test on one chain of nested partial tables of the
+    flat table full, as a branch of the search meets them: the cells are
+    decided in the search's order, a random third of them earlier, as
+    propagation decides them, and the live states are carried from each
+    table to the next.  Returns the tables checked and whether the chain
+    ended in a witness."""
+    cells = [(i, j) for i in range(2, n) for j in range(i, n)]
+    decided_at = [
+        rng.randint(0, k) if rng.random() < 1 / 3 else k for k in range(len(cells))
+    ]
+    states = _root_states(n)
+    for step in range(len(cells) + 1):
+        S = list(full)
+        for (i, j), k in zip(cells, decided_at):
+            if k >= step:
+                S[i * n + j] = S[j * n + i] = UNASSIGNED
+        got, states = _resume_relabelings(S, n, states)
+        assert (got is not None) == _naive_smaller_prefix(S, n)
+        if got is not None:
+            # the search cuts here: nothing below is reached
+            _assert_witness(S, n, got)
+            return step + 1, True
+    # S is complete: every comparison has reached a verdict
+    assert states == []
+    return len(cells) + 1, False
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_carried_states_match_naive_reference(n):
-    # one chain of nested partial tables per labeled table, as a branch of
-    # the search meets them: the cells are decided in the search's order,
-    # a random third of them earlier, as propagation decides them.  The
-    # live states are carried from each table to the next.
-    cells = [(i, j) for i in range(2, n) for j in range(i, n)]
+    # one carried chain of nested partial tables per labeled table
     rng = random.Random(100 + n)
     steps = witnesses = 0
     for t in _enumerate_tables(n, leaf_filter=False):
-        full = [v for row in t.sum for v in row]
-        decided_at = [
-            rng.randint(0, k) if rng.random() < 1 / 3 else k for k in range(len(cells))
-        ]
-        states = _root_states(n)
-        for step in range(len(cells) + 1):
-            S = list(full)
-            for (i, j), k in zip(cells, decided_at):
-                if k >= step:
-                    S[i * n + j] = S[j * n + i] = UNASSIGNED
-            got, states = _resume_relabelings(S, n, states)
-            assert (got is not None) == _naive_smaller_prefix(S, n)
-            steps += 1
-            if got is not None:
-                # the search cuts here: nothing below is reached
-                _assert_witness(S, n, got)
-                witnesses += 1
-                break
-        else:
-            # S is complete: every comparison has reached a verdict
-            assert states == []
+        checked, cut = _carried_chain([v for row in t.sum for v in row], n, rng)
+        steps += checked
+        witnesses += cut
     assert steps > 0
     assert n == 3 or witnesses > 0
+
+
+def _horizontal_sum_of_chains(lengths):
+    """The flat sum table, unit at 1, of the horizontal sum of chains of
+    the given lengths: a chain of length L adds the elements a, 2a, ...,
+    (L - 1)a, with ia + ja = (i + j)a up to La = 1."""
+    n = 2 + sum(length - 1 for length in lengths)
+    S = [UNDEF] * (n * n)
+    for x in range(n):
+        S[x] = S[x * n] = x
+    first = 2
+    for length in lengths:
+        index = [None, *range(first, first + length - 1), 1]
+        for i in range(1, length):
+            for j in range(1, length - i + 1):
+                S[index[i] * n + index[j]] = index[i + j]
+        first += length - 1
+    return S
+
+
+def _largest_cell_past_row_2(states, n):
+    return max((rel[3 * n + q] - rel[2 * n + q]
+                for _, stop, rel in states if stop >= 3 * n for q in range(2, n)), default=0)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_prefix_test_matches_naive_reference_on_symmetric_tables(n):
+    # up to size 6 no cell of the partition can hold more than four
+    # elements; these tables keep cells of up to n - 3 past row 2.  Each
+    # table, as built and under a random relabeling fixing 0 and 1, with a
+    # suffix of its cells undecided, with a random half of that suffix
+    # decided again, and along one carried chain of partial tables
+    cells = [(i, j) for i in range(2, n) for j in range(i, n)]
+    rng = random.Random(200 + n)
+    witnesses = largest = 0
+    for lengths in SYMMETRIC_SUMS[n]:
+        built = _horizontal_sum_of_chains(lengths)
+        rows = [built[i * n : (i + 1) * n] for i in range(n)]
+        validate(EffectAlgebraTable.from_rows(n, 1, rows))
+        perm = [0, 1, *rng.sample(range(2, n), n - 2)]
+        relabeled = [UNDEF] * (n * n)
+        for x, y in product(range(n), repeat=2):
+            v = built[x * n + y]
+            relabeled[perm[x] * n + perm[y]] = v if v < 0 else perm[v]
+        for full in (built, relabeled):
+            for cut in range(len(cells) + 1):
+                for keep in (set(), {c for c in cells[cut:] if rng.random() < 0.5}):
+                    S = list(full)
+                    for i, j in cells[cut:]:
+                        if (i, j) not in keep:
+                            S[i * n + j] = S[j * n + i] = UNASSIGNED
+                    got, states = _resume_relabelings(S, n, _root_states(n))
+                    assert (got is not None) == _naive_smaller_prefix(S, n)
+                    if got is not None:
+                        _assert_witness(S, n, got)
+                        witnesses += 1
+                    else:
+                        largest = max(largest, _largest_cell_past_row_2(states, n))
+            witnesses += _carried_chain(full, n, rng)[1]
+    # a live state past row 2 keeps every element but row 2's own in one
+    # cell: the undefined ones of the two-element chains
+    assert witnesses > 0
+    assert largest == n - 3
 
 
 def test_size4_classes_are_the_named_three():
