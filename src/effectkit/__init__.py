@@ -6,6 +6,7 @@ from .core import (
     UNDEF,
     CheckedEffectAlgebra,
     EffectAlgebraTable,
+    HomogeneityWitness,
     ValidationError,
     validate,
 )
@@ -30,7 +31,6 @@ from .enumeration import (
 )
 from .lemmas import (
     AnalysisReport,
-    HomogeneityWitness,
     LemmaReport,
     analyze,
     homogeneity_witness,

@@ -17,7 +17,7 @@ import sys
 from .core import ValidationError, validate
 from .corpus import ParseError, SpecError, from_spec, is_spec_string, parse, serialize
 from .enumeration import DEFAULT_MAX_SIZE, SizeError, survey, survey_tsv, write_enumeration
-from .lemmas import analyze, lemma_suite, render_reports
+from .lemmas import analyze, lemma_suite
 from .structure import DecomposeError, decompose
 
 EXIT_OK = 0
@@ -50,12 +50,11 @@ def cmd_validate(args):
 
 
 def cmd_analyze(args):
-    report = analyze(_load(args.source))
-    doc = report.as_dict()
+    doc = analyze(_load(args.source))._asdict()
     if args.fmt == "json":
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
-        _emit("".join(f"{k}: {json.dumps(doc[k])}\n" for k in report._fields), args.out)
+        _emit("".join(f"{k}: {json.dumps(v)}\n" for k, v in doc.items()), args.out)
     return EXIT_OK
 
 
@@ -76,16 +75,12 @@ def cmd_lemmas(args):
     reports = lemma_suite(_load(args.source))
     if args.fmt == "json":
         doc = [
-            {
-                "lemma": r.lemma_id,
-                "verdict": r.verdict,
-                "witness": None if r.witness is None else list(r.witness),
-            }
+            {"lemma": r.lemma_id, "verdict": r.verdict, "witness": r.witness}
             for r in reports
         ]
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
-        _emit(render_reports(reports) + "\n", args.out)
+        _emit("\n".join(r.render() for r in reports) + "\n", args.out)
     return EXIT_OK
 
 
@@ -114,13 +109,7 @@ def cmd_enumerate(args):
 
 
 def cmd_generate(args):
-    e = from_spec(args.source)
-    data = serialize(e.table)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _emit(serialize(from_spec(args.source).table).decode("ascii"), args.out)
     return EXIT_OK
 
 

@@ -231,18 +231,26 @@ def _bits(m):
 
 
 def _scan_cells(t):
-    """One pass over the cells of a table whose size, unit and row count
-    check out: (mismatch, by_sum, breach).
+    """One pass over the cells of a table: (mismatch, by_sum, breach).
 
-    Raises BadIndex at the first row of the wrong length or bad cell, in
-    row-major order.  mismatch is the least (i, j), i < j, with
-    s[i][j] != s[j][i], or None; each lower-triangle cell is compared with
-    its transpose, which lies in a row already checked.  by_sum[t] holds
+    Raises BadIndex at a bad size, unit or row count, else at the first
+    row of the wrong length or bad cell, in row-major order.  mismatch is
+    the least (i, j), i < j, with s[i][j] != s[j][i], or None; each
+    lower-triangle cell is compared with its transpose, which lies in a
+    row already checked.  by_sum[t] holds
     the cells (x, y) with x + y = t, row-major.  breach is the first cell,
     row-major, that breaks cancellation (a second cell of its sum in its
     row) or positivity (a sum 0 off (0, 0)), as a message, or None.
     """
+    # type(v) is int, not isinstance: parse refuses bool cells, so a bool
+    # accepted here would serialize to a table parse cannot read back
     n, s = t.size, t.sum
+    if type(n) is not int or n < 2:
+        raise ValidationError("BadIndex", (n,))
+    if type(t.one) is not int or not 0 < t.one < n:
+        raise ValidationError("BadIndex", (t.one,))
+    if len(s) != n:
+        raise ValidationError("BadIndex", (len(s),))
     by_sum = [[] for _ in range(n)]
     mismatch = breach = None
     for i, row in enumerate(s):
@@ -263,21 +271,6 @@ def _scan_cells(t):
                     breach = f"positivity broken at {(i, j)}"
             cells.append((i, j))
     return mismatch, tuple(map(tuple, by_sum)), breach
-
-
-def _check_shape(t):
-    """Raise BadIndex at the first bad size, unit, row count, row or cell;
-    else return _scan_cells(t)."""
-    # type(v) is int, not isinstance: parse refuses bool cells, so a bool
-    # accepted here would serialize to a table parse cannot read back
-    n = t.size
-    if type(n) is not int or n < 2:
-        raise ValidationError("BadIndex", (n,))
-    if type(t.one) is not int or not 0 < t.one < n:
-        raise ValidationError("BadIndex", (t.one,))
-    if len(t.sum) != n:
-        raise ValidationError("BadIndex", (len(t.sum),))
-    return _scan_cells(t)
 
 
 def verify_validation_witness(table, err):
@@ -309,7 +302,7 @@ def verify_validation_witness(table, err):
                 )
         return False
     try:
-        _check_shape(t)
+        _scan_cells(t)
     except ValidationError:
         return False
     n, one, s = t.size, t.one, t.sum
@@ -343,8 +336,8 @@ def validate(table):
     zero-one law (ZeroOneLawViolated), existence and uniqueness of
     orthosupplements (OrthoMissing / OrthoNotUnique), and associativity in
     both directions including definedness transfer (NotAssociative).  The
-    first violation in lexicographic scan order is raised.  After the
-    size, unit and row-count checks, one pass over the cells (_scan_cells)
+    first violation in lexicographic scan order is raised.  One pass over
+    the cells (_scan_cells), after the size, unit and row-count checks,
     raises BadIndex at the first bad cell, since no other kind outranks
     it, and notes the least transpose mismatch, by_sum and the first
     breach of cancellation or positivity; the other kinds follow in the
@@ -356,7 +349,7 @@ def validate(table):
     the axioms; a breach is raised last, as AssertionError, which marks a
     bug in the checks above.
     """
-    mismatch, by_sum, breach = _check_shape(table)
+    mismatch, by_sum, breach = _scan_cells(table)
     n, one, s = table.size, table.one, table.sum
 
     for x in range(n):

@@ -199,7 +199,9 @@ def from_spec(text):
         _check_spec_size(2 + sum(l - 1 for l in lengths), text)
         return horizontal_sum([chain(l) for l in lengths])
     if name == "prod":
-        parts = _split_prod(rest, text)
+        parts = rest.split(",")
+        if not all(p.startswith("chain:") or p == "diamond" for p in parts):
+            raise SpecError(f"prod factors must be chain:N or diamond: {_quote(text)}")
         if len(parts) < 2:
             raise SpecError(f"prod needs at least two factors: {_quote(text)}")
         sizes = [4 if p == "diamond" else _spec_int(p[len("chain:"):], p) + 1
@@ -229,14 +231,3 @@ def _spec_int(text, whole):
     if value < 1:
         raise SpecError(f"lengths must be >= 1 in {_quote(whole)}")
     return value
-
-
-def _split_prod(rest, whole):
-    # "chain:2,chain:3,diamond" -> ["chain:2", "chain:3", "diamond"]
-    parts = []
-    for tok in rest.split(","):
-        if tok.startswith("chain:") or tok == "diamond":
-            parts.append(tok)
-        else:
-            raise SpecError(f"prod factors must be chain:N or diamond: {_quote(whole)}")
-    return parts

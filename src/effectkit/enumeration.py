@@ -25,23 +25,10 @@ and cells compared as integers in row-major order, and is keyed by its
 serialization.  The tests pin that with their scan oracle, which keys a
 table by scanning all of its relabelings.
 
-The test is carried down the search rather than started afresh at every
-node.  Each node resumes its parent's live states, whose comparison
-stopped undecided at some cell, and passes the states still live to all
-of its branches.  A state is one set of relabelings that tie so far: a
-partial relabeling plus an ordered partition of the new indices not yet
-placed, each cell holding the old elements that every compared cell has
-left interchangeable (B. McKay, "Practical graph isomorphism", Congr.
-Numer. 30, 1981).  The root starts from one state with all of 2..n-1 in
-one cell.  A comparison refines a cell by the values it reads, least
-value first, and splits a state only to read a row from one element or to
-follow elements that take the same least value.  A state records the
-undecided cells that block it; while they stay undecided the state is
-passed on as it is, which is most of them.  A decided cell never changes
-in a subtree, so a set proved larger stays larger, one proved smaller
-cuts the node, and a stopped comparison goes on exactly where a fresh
-start would reach it: the cuts, and so the nodes and the emitted tables,
-are those of testing every relabeling on its own, from scratch, at every
+The test is carried down the search: each node resumes its parent's live
+states, sets of relabelings that tie so far, and passes the states still
+live to all of its branches.  _resume_relabelings says what a state is and
+why resuming gives the cuts of testing every relabeling afresh at every
 node.
 
 The search creates no reference cycles, so reference counting frees a
@@ -106,11 +93,6 @@ class SurveyRow(namedtuple("SurveyRow", SURVEY_COLUMNS)):
         return "\t".join(map(str, self))
 
 
-def _snapshot(S, n):
-    rows = tuple(tuple(S[i * n : (i + 1) * n]) for i in range(n))
-    return EffectAlgebraTable(n, 1, rows)
-
-
 def _root_states(n):
     """The live states of a table with no interior cell decided: one
     state, all of 2..n-1 in one cell, stopped and blocked at cell (2, 2).
@@ -140,7 +122,8 @@ def _resume_relabelings(S, n, states):
     A live state (blocks, stop, rel) stands for a set of relabelings: rel
     is 4n bytes, order[new] = old, its inverse perm[old] = new, and for
     each new index the bounds lo and hi of its cell, an ordered partition
-    of 2..n-1.  The relabelings are those that send each cell's old
+    of 2..n-1 (B. McKay, "Practical graph isomorphism", Congr. Numer. 30,
+    1981).  The relabelings are those that send each cell's old
     elements onto the cell's new indices in any order; a cell of one index
     is a placement.  The elements of a cell are interchangeable in every
     cell compared so far, so the set ties with S up to stop, the cell
@@ -163,8 +146,9 @@ def _resume_relabelings(S, n, states):
 
     Cells decided in S stay decided, with the same value, in every table
     that extends S, and a state's progress depends only on the cells it
-    read.  So on such a table the live states go on from their stops, and
-    the verdict and live states equal those of a start from _root_states:
+    read.  So a set proved larger stays larger, one proved smaller cuts
+    the node, and on such a table the live states go on from their stops:
+    the verdict and live states equal those of a start from _root_states,
     the same verdict as testing every relabeling on its own.  The helpers
     are module functions, so a call makes no reference cycle and the live
     list is freed as soon as the search drops it, as a tier-1 test checks.
@@ -226,8 +210,11 @@ def _compare(S, n, rel, pos, append, probed):
     of rel that makes the prefix smaller, as rel with more placed, or None
     with the states still live appended.  The old elements in probed are
     never placed at an index of their cell, only as a value (see _probe).
-    rel is changed in place if it is a bytearray, which the caller gives
-    up."""
+    Where the state splits, into one state per element of the cell that
+    reads row u or per element that takes the least value, each is
+    compared on by a call of its own, in order, and the first smaller
+    relabeling is returned.  rel is changed in place if it is a
+    bytearray, which the caller gives up."""
     lo, hi = 2 * n, 3 * n
     u, p = divmod(pos, n)
     row = rel[u] * n
@@ -316,22 +303,18 @@ def _compare(S, n, rel, pos, append, probed):
             if least > cur:
                 return None
             # one state per element that takes the least value
-            last = len(ties) - 1
-            for k, (x, v) in enumerate(ties):
-                child = _place(rel if k == last else bytearray(rel), n, x, p)
+            for x, v in ties:
+                child = _place(bytearray(rel), n, x, p)
                 if v > 1:
                     q = child[n + v]
                     if child[hi + q] - child[lo + q] > 1:
                         child = _place(child, n, v, child[lo + q])
                 if least < cur:
                     return child
-                if k == last:
-                    rel = child
-                else:
-                    child = _compare(S, n, child, stop + 1, append, probed)
-                    if child is not None:
-                        return child
-            p += 1
+                child = _compare(S, n, child, stop + 1, append, probed)
+                if child is not None:
+                    return child
+            return None
 
 
 def _undefined(members, values):
@@ -375,14 +358,15 @@ def _first_defined(S, start, count):
 def _probe(S, n, rel, stop, append, members, values):
     """The cell at stop holds elements whose value in the row is
     undecided.  A relabeling stops at the first of them, so only one that
-    places decided ones first can make the prefix smaller, and only if
-    their least value does not exceed S's cell.  Returns such a
-    relabeling if there is one, else None with the state appended,
-    stopped here and blocked until one of those values or a cell that the
-    probe stopped at is decided."""
+    places decided ones first can make the prefix smaller; the probe
+    compares the decided ones on, and ends at once if their least value
+    exceeds S's cell.  Returns such a relabeling if there is one, else
+    None with the state appended, stopped here and blocked until one of
+    those values or a cell that the probe stopped at is decided."""
     p = stop % n
     row = rel[stop // n] * n
     blocks = [row + x for x, v in zip(members, values) if v == UNASSIGNED]
+    probe = True
     undefined = values.count(UNDEF)
     if undefined:
         # the decided undefined ones come first, so only what follows them
@@ -395,8 +379,6 @@ def _probe(S, n, rel, stop, append, members, values):
             probe = False
         else:
             return _split(rel, n, _undefined(members, values), p, p + len(members))
-    else:
-        probe = _least(n, rel, p, members, values)[0] <= S[stop]
     if probe:
         stopped = []
         probed = bytes(x for x, v in zip(members, values) if v == UNASSIGNED)
@@ -428,10 +410,9 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
     queue = []
 
     def set_cell(i, j, v):
+        # cell (i, j) is undecided: dfs skips decided cells, and the
+        # forcing below and check pass only a cell they read as UNASSIGNED
         pos = i * n + j
-        cur = S[pos]
-        if cur != UNASSIGNED:
-            return cur == v
         if v != UNDEF:
             if v <= 0 or ((used[i] | used[j]) >> v) & 1:
                 return False
@@ -451,9 +432,8 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
     def check(a, b, c):
         # whenever b+c and a+(b+c) are defined, (a+b)+c must be defined and
         # equal; covers the symmetric reading via commutative storage.
+        # Called only when b + c is defined: propagate tests that first.
         bc = S[b * n + c]
-        if bc < 0:
-            return True
         abc = S[a * n + bc]
         if abc == UNASSIGNED:
             return True
@@ -519,7 +499,8 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
             if witness is not None:
                 return
         if idx == last:
-            results.append(_snapshot(S, n))
+            rows = tuple(tuple(S[i * n : (i + 1) * n]) for i in range(n))
+            results.append(EffectAlgebraTable(n, 1, rows))
             return
         pos = cells[idx]
         i, j = divmod(pos, n)

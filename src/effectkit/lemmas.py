@@ -13,8 +13,7 @@ with the body's witness, which re-checks as a genuine violation.
 
 from collections import namedtuple
 
-# re-exported: HomogeneityWitness
-from .core import UNDEF, HomogeneityWitness
+from .core import UNDEF
 from .structure import DecomposeError, decompose
 
 PASS = "Pass"
@@ -262,7 +261,6 @@ STATEMENTS = {
     "C2": check_C2,
     "C3": check_C3,
 }
-SUITE_ORDER = tuple(STATEMENTS)
 
 HYPOTHESES = {
     "L20": has_trivial_sharps,
@@ -288,10 +286,6 @@ def lemma_suite(e):
     return [report(lemma_id, e) for lemma_id in STATEMENTS]
 
 
-def render_reports(reports):
-    return "\n".join(r.render() for r in reports)
-
-
 class AnalysisReport(
     namedtuple("AnalysisReport", "size one atoms sharp homogeneous lattice isotropy")
 ):
@@ -299,17 +293,6 @@ class AnalysisReport(
     aligned with atoms."""
 
     __slots__ = ()
-
-    def as_dict(self):
-        return {
-            "size": self.size,
-            "one": self.one,
-            "atoms": list(self.atoms),
-            "sharp": list(self.sharp),
-            "homogeneous": self.homogeneous,
-            "lattice": self.lattice,
-            "isotropy": list(self.isotropy),
-        }
 
 
 def analyze(e):

@@ -70,10 +70,9 @@ def decompose(e):
         length = len(mults) + 1
         if top != e.one:
             raise DecomposeError("TheoremViolation", ("top multiple", a, length, top))
-        if set(e.interval(a, e.ortho[a])) != set(mults):
-            raise DecomposeError(
-                "TheoremViolation", ("interval", a, tuple(e.interval(a, e.ortho[a])))
-            )
+        interval = e.interval(a, e.ortho[a])
+        if set(interval) != set(mults):
+            raise DecomposeError("TheoremViolation", ("interval", a, interval))
         branches.append((length, a, mults))
     branches.sort()
 

@@ -21,6 +21,12 @@ HOSTILE_DOCUMENTS = [
     pytest.param(b'{"size":' + b"9" * 5000 + b',"one":1,"sum":[]}', id="5000-digit-size"),
 ]
 
+# a sum whose second row is not a list, and one whose second row is short
+BAD_SUM_ROWS = [
+    pytest.param(b'{"size":2,"one":1,"sum":[[0,1],7]}', id="row-not-a-list"),
+    pytest.param(b'{"size":2,"one":1,"sum":[[0,1],[1]]}', id="short-row"),
+]
+
 
 # Each test's own time limit.  The whole suite takes seconds; a test still
 # running after this long is stuck (a pool waiting on a worker that never

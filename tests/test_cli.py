@@ -11,9 +11,9 @@ import pytest
 import effectkit as ek
 from effectkit import cli
 from effectkit.cli import main
-from effectkit.lemmas import SUITE_ORDER, analyze
+from effectkit.lemmas import STATEMENTS, analyze
 
-from conftest import FIXTURES, HOSTILE_DOCUMENTS, fixture_bytes
+from conftest import BAD_SUM_ROWS, FIXTURES, HOSTILE_DOCUMENTS, fixture_bytes
 
 NON_HOMOG = os.path.join(FIXTURES, "smallest_non_homogeneous_trivial_sharp.json")
 
@@ -64,6 +64,13 @@ def test_validate_unreadable_json_is_one_parse_error(tmp_path, capsys, data):
     assert len(err) == 1 and err[0].startswith("parse error")
 
 
+@pytest.mark.parametrize("data", BAD_SUM_ROWS)
+def test_validate_bad_sum_row_is_one_parse_error(tmp_path, capsys, data):
+    path = write_table(tmp_path, "bad_row.json", data)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr() == ("", "parse error: sum must be a 2x2 matrix\n")
+
+
 def test_rejected_cell_is_quoted_only_up_to_a_prefix(tmp_path, capsys):
     doc = {"size": 2, "one": 1, "sum": [[0, "x" * 100_000], [1, -1]]}
     path = write_table(tmp_path, "long_cell.json", json.dumps(doc).encode())
@@ -89,7 +96,7 @@ def test_analyze_text(capsys):
 def test_analyze_json_round_trips(capsys):
     assert main(["analyze", "hsum:2,3", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc == analyze(ek.from_spec("hsum:2,3")).as_dict()
+    assert doc == json.loads(json.dumps(analyze(ek.from_spec("hsum:2,3"))._asdict()))
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):
@@ -100,7 +107,7 @@ def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     assert capsys.readouterr().err.startswith("usage: effectkit analyze")
     assert main(["analyze", "chain:3", "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert out == json.dumps(analyze(ek.chain(3)).as_dict(), sort_keys=True) + "\n"
+    assert out == json.dumps(analyze(ek.chain(3))._asdict(), sort_keys=True) + "\n"
 
 
 def test_analyze_diamond_and_product(capsys):
@@ -137,10 +144,10 @@ def test_decompose_non_homogeneous_fixture(capsys):
 def test_lemmas_output(capsys):
     assert main(["lemmas", "chain:5"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"{lid} Pass" for lid in SUITE_ORDER]
+    assert lines == [f"{lid} Pass" for lid in STATEMENTS]
     assert main(["lemmas", "diamond", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert [r["lemma"] for r in doc] == list(SUITE_ORDER)
+    assert [r["lemma"] for r in doc] == list(STATEMENTS)
     assert all(r["verdict"] != "Fail" for r in doc)
 
 

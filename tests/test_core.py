@@ -127,6 +127,8 @@ def test_bad_zero():
         (3, True, [[0, 1, 2], [1, 2, U], [2, U, U]]),
         (2.0, 1, [[0, 1], [1, U]]),
         ("2", 1, [[0, 1], [1, U]]),
+        # fewer rows than size: the witness is the row count
+        (4, 3, [[0, 1, 2, 3], [1, 2, 3, U]]),
     ],
 )
 def test_bad_index(size, one, rows):

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 import effectkit as ek
 from effectkit.corpus import ParseError, SpecError, from_spec, is_spec_string, parse, serialize
 
-from conftest import HOSTILE_DOCUMENTS, chain_multisets, fixture_bytes, scan_canonical, sum_of
+from conftest import (
+    BAD_SUM_ROWS,
+    HOSTILE_DOCUMENTS,
+    chain_multisets,
+    fixture_bytes,
+    scan_canonical,
+    sum_of,
+)
 
 
 def test_chain_validates_for_all_small_lengths():
@@ -58,6 +65,16 @@ def test_horizontal_sum_keeps_duplicate_summands():
     assert len(h.atoms) == 2
     assert ek.is_homogeneous(h)
     assert h.sharp_set == (0, h.one)
+
+
+def test_horizontal_sum_of_raw_tables_checks_them():
+    parts = [ek.chain(2), ek.chain(3)]
+    assert ek.horizontal_sum([e.table for e in parts]) == ek.horizontal_sum(parts)
+    # 1 + 1 defined breaks the zero-one law
+    bad = ek.EffectAlgebraTable(2, 1, ((0, 1), (1, 1)))
+    with pytest.raises(ek.ValidationError) as exc:
+        ek.horizontal_sum([ek.chain(2), bad])
+    assert (exc.value.kind, exc.value.witness) == ("ZeroOneLawViolated", (1,))
 
 
 def test_horizontal_sum_cross_branch_sums_undefined():
@@ -142,6 +159,14 @@ def test_content_error_has_no_byte_offset():
         parse(b'{"size":1,"one":0,"sum":[[0]]}')
     assert exc.value.offset is None
     assert str(exc.value) == "size must be an integer >= 2"
+
+
+@pytest.mark.parametrize("data", BAD_SUM_ROWS)
+def test_bad_sum_row_is_a_content_error(data):
+    with pytest.raises(ParseError) as exc:
+        parse(data)
+    assert exc.value.offset is None
+    assert str(exc.value) == "sum must be a 2x2 matrix"
 
 
 def test_parse_does_not_check_axioms():

@@ -16,11 +16,10 @@ from effectkit.lemmas import (
     NOT_APPLICABLE,
     PASS,
     STATEMENTS,
-    SUITE_ORDER,
+    check_C2,
     homogeneity_witness,
     is_homogeneous,
     lemma_suite,
-    render_reports,
     report,
     verify_homogeneity_witness,
 )
@@ -322,9 +321,17 @@ def test_T36_L33_C1_examples():
         assert report(lemma_id, p).verdict == NOT_APPLICABLE
 
 
+def test_check_C2_passes_decompose_refusal_on():
+    # outside the hypothesis class the body does not answer: the diamond's
+    # sharp p and q make decompose refuse, and C2 lets that through
+    with pytest.raises(ek.DecomposeError) as exc:
+        check_C2(ek.boolean_diamond())
+    assert exc.value.kind == "NotTrivialSharps"
+
+
 def test_lemma_suite_order_and_verdicts():
     reports = lemma_suite(ek.chain(5))
-    assert tuple(r.lemma_id for r in reports) == SUITE_ORDER
+    assert tuple(r.lemma_id for r in reports) == tuple(STATEMENTS)
     assert all(r.verdict == PASS for r in reports)
     d_reports = lemma_suite(ek.boolean_diamond())
     assert {r.verdict for r in d_reports} == {PASS, NOT_APPLICABLE}
@@ -332,10 +339,9 @@ def test_lemma_suite_order_and_verdicts():
 
 
 def test_render_reports_format():
-    text = render_reports(lemma_suite(ek.chain(3)))
-    lines = text.splitlines()
+    lines = [r.render() for r in lemma_suite(ek.chain(3))]
     assert lines[0] == "L14 Pass"
-    assert len(lines) == len(SUITE_ORDER)
+    assert len(lines) == len(STATEMENTS)
     bad = ek.LemmaReport("L20", FAIL, (3,))
     assert bad.render() == "L20 Fail witness=(3,)"
 
@@ -384,7 +390,7 @@ def test_analysis_report_examples():
     assert d.homogeneous
     p = ek.analyze(ek.from_spec("prod:chain:2,chain:2"))
     assert len(p.sharp) == 4
-    assert rep.as_dict()["atoms"] == [1, 2]
+    assert rep._asdict()["atoms"] == (1, 2)
 
 
 def test_bodies_leave_the_guard_to_report():
@@ -396,8 +402,7 @@ def test_bodies_leave_the_guard_to_report():
     for lemma_id, body in STATEMENTS.items():
         assert body.__name__ == f"check_{lemma_id}"
         assert not guard.search(inspect.getsource(body)), lemma_id
-    assert SUITE_ORDER == tuple(STATEMENTS)
-    assert set(HYPOTHESES) == set(SUITE_ORDER) - {"L14", "L15"}
+    assert set(HYPOTHESES) == set(STATEMENTS) - {"L14", "L15"}
 
 
 def test_statements_are_known_to_lemmas_only():
@@ -442,7 +447,7 @@ def assert_statement_census(n, keys, members, survey):
     counts = Counter((r.lemma_id, r.verdict) for e in members for r in lemma_suite(e))
     passes = {"L14": total, "L15": total, "L20": trivial, "L22": homogeneous}
     want = Counter()
-    for lemma_id in SUITE_ORDER:
+    for lemma_id in STATEMENTS:
         p = passes.get(lemma_id, hypothesis_class)
         want[lemma_id, PASS] = p
         want[lemma_id, NOT_APPLICABLE] = total - p
