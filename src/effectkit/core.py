@@ -22,6 +22,15 @@ and the order queries (sharpness, intervals, meets, joins and covers) and
 the bodies of L14, L33, T36 and C1 read it.  Each derived property is
 computed once, on first use, and kept: _bounds, sharp_set, is_lattice
 and homogeneity_witness.
+
+Homogeneity is decided at the atoms.  Homogeneity at x and at y gives it
+at x + y: if x + y <= v1 + v2 <= (x + y)', then x <= v1 + v2 <= x', so
+x = x1 + x2 with xi <= vi; writing vi = xi + wi, cancellation gives
+y <= w1 + w2 <= y', so y = y1 + y2 with yi <= wi, and xi + yi <= vi split
+x + y.  Every element of a finite effect algebra is a sum of atoms and
+homogeneity holds at 0, so an algebra is homogeneous exactly when it is
+homogeneous at its atoms, and every element at which homogeneity fails
+lies above an atom at which it fails (see homogeneity_witness).
 """
 
 from collections import namedtuple
@@ -151,12 +160,13 @@ class CheckedEffectAlgebra(
 
     @cached_property
     def is_lattice(self):
-        down, up, by_down, by_up = self._bounds
+        # Meets suffice: in a finite poset with a top (the unit) where every
+        # pair has a meet, the join of x and y is the meet of their common
+        # upper bounds, a set that holds 1 and so is not empty.
+        down, _, by_down, _ = self._bounds
         n = self.size
         return all(
-            down[x] & down[y] in by_down and up[x] & up[y] in by_up
-            for x in range(n)
-            for y in range(x + 1, n)
+            down[x] & down[y] in by_down for x in range(n) for y in range(x + 1, n)
         )
 
     @cached_property
@@ -164,49 +174,49 @@ class CheckedEffectAlgebra(
         """Lexicographically first (u, v1, v2) at which homogeneity fails, or
         None when the algebra is homogeneous.
 
-        Homogeneity: whenever u <= v1 + v2 <= u' (the sum defined), u splits
-        as u1 + u2 with u1 <= v1 and u2 <= v2.  Only u <= u' can fail.  For
-        such a u, bit k of m1[v1] (m2[v2]) marks the k-th split u1 + u2 = u
-        in by_sum[u] with u1 <= v1 (u2 <= v2), and a defined cell (v1, v2)
-        whose sum lies in [u, u'] fails iff m1[v1] & m2[v2] == 0.  Only the
-        cells of by_sum[t] for t in [u, u'] are scanned, one sum at a time,
-        so the least failing cell over those sums is the lexicographic one.
-        Their summands lie below t, so below u', and the masks are built
-        for the elements below u' only.  The mask loop indexes the order
-        once per split and element, so it reads rows of booleans, built here
-        from the table, not the bitsets of _bounds, which are slower there.
+        Homogeneity at u: whenever u <= v1 + v2 <= u' (the sum defined), u
+        splits as u1 + u2 with u1 <= v1 and u2 <= v2; _unsplit_cell decides
+        it for one u.  The algebra is homogeneous when it holds at every u,
+        and it is decided at the atoms first, by this lemma: homogeneity at
+        x and at y gives homogeneity at x + y.
+
+        Proof.  Let u = x + y <= v1 + v2 <= u'.  Then x <= v1 + v2 <= u' <= x',
+        so x = x1 + x2 with xi <= vi; write vi = xi + wi.  From
+        x + y <= x + (w1 + w2), cancellation gives y <= w1 + w2.  Since
+        (v1 + v2) + u is defined, so is (w1 + w2) + y, and w1 + w2 <= y'.
+        So y = y1 + y2 with yi <= wi, and ui = xi + yi <= vi gives
+        u = u1 + u2.
+
+        Homogeneity holds at 0, and every element of a finite effect algebra
+        is a sum of atoms, so every u at which it fails lies above an atom
+        at which it fails.  Hence each atom is checked; if none fails the
+        algebra is homogeneous, else only the elements above a failing
+        atom are checked, in index order, and the first that fails gives
+        the witness, with the least failing cell of its sums.  The boolean
+        order rows that _unsplit_cell reads are filled from by_sum, which
+        holds only the defined cells.
         """
         n, ortho, by_sum = self.size, self.ortho, self.by_sum
-        leq = [[False] * n for _ in range(n)]  # leq[x][y] iff x <= y
-        for x, row in enumerate(self.table.sum):
-            leq_x = leq[x]
-            for y in row:
-                if y != UNDEF:
-                    leq_x[y] = True
-        for u in range(n):
-            up, leq_u = ortho[u], leq[u]
-            if not leq_u[up]:
-                continue
-            below = [v for v in range(n) if leq[v][up]]
-            m1, m2 = [0] * n, [0] * n
-            for k, (u1, u2) in enumerate(by_sum[u]):
-                bit = 1 << k
-                leq1, leq2 = leq[u1], leq[u2]
-                for v in below:
-                    if leq1[v]:
-                        m1[v] |= bit
-                    if leq2[v]:
-                        m2[v] |= bit
-            fails = []  # the first failing cell of each sum in [u, u']
-            for t in below:
-                if leq_u[t]:
-                    for v1, v2 in by_sum[t]:
-                        if not m1[v1] & m2[v2]:
-                            fails.append((v1, v2))
-                            break
-            if fails:
-                return HomogeneityWitness(u, *min(fails))
-        return None
+        leq = [[False] * n for _ in range(n)]  # leq[z][y] iff z <= y
+        for y, cells in enumerate(by_sum):
+            for z, _ in cells:
+                leq[z][y] = True
+        fails = {}  # each failing atom's least failing cell
+        for a in self.atoms:
+            cell = _unsplit_cell(leq, ortho, by_sum, a)
+            if cell is not None:
+                fails[a] = cell
+        if not fails:
+            return None
+        up = self._bounds[1]
+        above = 0
+        for a in fails:
+            above |= up[a]
+        # the failing atoms lie in `above`, so this loop returns
+        for u in _bits(above):
+            cell = fails.get(u) or _unsplit_cell(leq, ortho, by_sum, u)
+            if cell is not None:
+                return HomogeneityWitness(u, *cell)
 
     def hasse_covers(self):
         """All pairs (x, y) with x < y and nothing strictly between, ordered
@@ -228,6 +238,45 @@ def _bits(m):
         out.append(low.bit_length() - 1)
         m ^= low
     return tuple(out)
+
+
+def _unsplit_cell(leq, ortho, by_sum, u):
+    """The least cell (v1, v2), row-major, with u <= v1 + v2 <= u' and no
+    split u1 + u2 = u below it (u1 <= v1, u2 <= v2), or None when
+    homogeneity holds at u.
+
+    Only u <= u' can fail.  Bit k of m1[v1] (m2[v2]) marks the k-th split
+    u1 + u2 = u in by_sum[u] with u1 <= v1 (u2 <= v2), and a defined cell
+    (v1, v2) whose sum lies in [u, u'] fails iff m1[v1] & m2[v2] == 0.
+    Only the cells of by_sum[t] for t in [u, u'] are scanned, one sum at a
+    time, so the least failing cell over those sums is the row-major
+    first.  Their summands lie below t, so below u', and the masks are
+    built for the elements below u' only: the first components of the
+    cells of by_sum[u'].  The mask loop indexes the order once per split
+    and element, so it reads rows of booleans (leq[z][y] iff z <= y), not
+    the bitsets of _bounds, which are slower there.
+    """
+    up, leq_u = ortho[u], leq[u]
+    if not leq_u[up]:
+        return None
+    below = [v for v, _ in by_sum[up]]
+    m1, m2 = [0] * len(leq), [0] * len(leq)
+    for k, (u1, u2) in enumerate(by_sum[u]):
+        bit = 1 << k
+        leq1, leq2 = leq[u1], leq[u2]
+        for v in below:
+            if leq1[v]:
+                m1[v] |= bit
+            if leq2[v]:
+                m2[v] |= bit
+    fails = []  # the first failing cell of each sum in [u, u']
+    for t in below:
+        if leq_u[t]:
+            for v1, v2 in by_sum[t]:
+                if not m1[v1] & m2[v2]:
+                    fails.append((v1, v2))
+                    break
+    return min(fails, default=None)
 
 
 def _scan_cells(t):

@@ -15,7 +15,7 @@ from .core import UNDEF, CheckedEffectAlgebra, EffectAlgebraTable, validate
 # Largest algebra a table file or a spec may describe, checked before the
 # matrix is walked or anything is built: validation is cubic in the size.
 # On chain:255 the lemmas, analyze and decompose commands each take about
-# 0.75 s (median of 9 runs, CPython 3.11, 2 vCPUs).
+# 0.45 s (median of 9 runs, CPython 3.11, 2 vCPUs).
 MAX_SIZE = 256
 
 

@@ -103,6 +103,11 @@ def check_L22(e):
     """In a homogeneous algebra, a defined sum inside [a, a'] (a an atom with
     a <= a') must dominate a in one of its summands.
 
+    The only splits of an atom a are 0 + a and a + 0, so this condition is
+    homogeneity at a.  Homogeneity at x and at y gives it at x + y (proved
+    in the core module docstring), so for a finite effect algebra the
+    condition at every atom is equivalent to homogeneity.
+
     For each such atom only the cells of by_sum[t], t in [a, a'], are
     scanned, one sum at a time; the least failing cell over those sums is
     the row-major first, so the witness (a, v1, v2) is that of a scan over
@@ -201,9 +206,10 @@ def check_C2(e):
     labelled (c, m), must follow the chain rule: if k = 0 or m = 0 the sum
     is the other summand; if b != c or k + m > l_b it is undefined; if
     k + m = l_b it is the unit, and otherwise the element labelled
-    (b, k + m).  The witness is the first cell (x, y) that breaks the
-    rule, or decompose's TheoremViolation detail when no labelling is
-    found; outside the hypothesis class decompose's refusal propagates.
+    (b, k + m).  Each row is built from the labelling and compared whole.
+    The witness is the first cell (x, y), row-major, that breaks the rule,
+    or decompose's TheoremViolation detail when no labelling is found;
+    outside the hypothesis class decompose's refusal propagates.
     Chains of equal length can be swapped, so the labelling is an
     isomorphism exactly when some isomorphism exists.
     """
@@ -216,20 +222,21 @@ def check_C2(e):
 
     lengths, label = dec.chain_lengths, dec.labeling
     element = {bk: x for x, bk in label.items()}
-
-    def chain_sum(x, y):
-        (b, k), (c, m) = label[x], label[y]
-        if k == 0 or m == 0:
-            return y if k == 0 else x
-        if b != c or k + m > lengths[b]:
-            return UNDEF
-        return e.one if k + m == lengths[b] else element[b, k + m]
-
-    s = e.table.sum
-    return next(
-        ((x, y) for x in e.carrier for y in e.carrier if s[x][y] != chain_sum(x, y)),
-        None,
-    )
+    n, one, s = e.size, e.one, e.table.sum
+    for x in e.carrier:
+        # Row x by the chain rule: only x's own chain holds defined sums.
+        if x == 0:
+            want = list(range(n))
+        else:
+            b, k = label[x]
+            want = [UNDEF] * n
+            want[0] = x
+            for m in range(1, lengths[b] - k + 1):
+                want[element[b, m]] = one if k + m == lengths[b] else element[b, k + m]
+        row = s[x]
+        if list(row) != want:
+            return (x, next(y for y in e.carrier if row[y] != want[y]))
+    return None
 
 
 def check_C3(e):

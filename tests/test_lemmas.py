@@ -17,6 +17,7 @@ from effectkit.lemmas import (
     PASS,
     STATEMENTS,
     check_C2,
+    check_L22,
     homogeneity_witness,
     is_homogeneous,
     lemma_suite,
@@ -134,6 +135,75 @@ def test_restricted_split_masks_match_search_by_definition():
         assert (None if w is None else (w.u, w.v1, w.v2)) == first_homogeneity_failure_alt(e)
     assert all(is_homogeneous(e) for e in products)
     assert not any(is_homogeneous(e) for e in e10 + sums)
+
+
+def test_homogeneity_at_the_atoms_decides_it(e6):
+    # The lemma behind homogeneity_witness, checked by the search by
+    # definition: homogeneity at x and at y gives it at x + y, so each u at
+    # which it fails lies above an atom at which it fails, and L22's
+    # condition, homogeneity at the atoms, holds exactly on homogeneous input.
+    rng = random.Random(23)
+    algebras = [
+        ek.validate(relabelled(ek.parse(key), rng))
+        for n in range(2, 9)
+        for key in ek.enumerate_all(n)
+    ]
+    # in a product with a chain, homogeneity fails above the failing atom too
+    products = [
+        ek.validate(relabelled(ek.direct_product(f, ek.chain(l)).table, rng))
+        for f in (e6, non_homogeneous_fixture())
+        for l in (2, 3)
+    ]
+    non_homogeneous = failing_non_atoms = witness_not_an_atom = 0
+    for e in algebras + [e6] + fixture_sums() + products:
+        s, leq = e.table.sum, order_alt(e.table)
+        cells = {u: homogeneity_failures_alt(e, u) for u in e.carrier}
+        failing = {u for u in e.carrier if cells[u]}
+        failing_atoms = failing & set(e.atoms)
+        w = homogeneity_witness(e)
+        assert w == (None if not failing else (min(failing), *cells[min(failing)][0]))
+        witness_not_an_atom += w is not None and w.u not in e.atoms
+        for u in failing:
+            assert any(leq[a][u] for a in failing_atoms), u
+        for x in e.carrier:
+            for y in e.carrier:
+                if x not in failing and y not in failing and s[x][y] != U:
+                    assert s[x][y] not in failing, (x, y)
+        assert (check_L22(e) is None) == is_homogeneous_alt(e) == (not failing)
+        non_homogeneous += bool(failing)
+        failing_non_atoms += len(failing - failing_atoms)
+    assert non_homogeneous > 25 and failing_non_atoms == 4 and witness_not_an_atom
+
+
+def test_homogeneity_checks_the_atoms_then_only_above_a_failing_one(monkeypatch):
+    real = ek.core._unsplit_cell
+    calls = []
+
+    def counting(leq, ortho, by_sum, u):
+        calls.append(u)
+        return real(leq, ortho, by_sum, u)
+
+    monkeypatch.setattr(ek.core, "_unsplit_cell", counting)
+    e = ek.validate(relabelled(hsum(3, 4, 5).table, random.Random(3)))
+    assert e.homogeneity_witness is None and calls == list(e.atoms) and len(calls) == 3
+    calls.clear()
+    assert ek.chain(64).homogeneity_witness is None and calls == [1]
+    scanned_above = 0
+    for e in fixture_sums():
+        calls.clear()
+        w = e.homogeneity_witness
+        leq = order_alt(e.table)
+        failing_atoms = [a for a in e.atoms if homogeneity_failures_alt(e, a)]
+        above = [
+            u
+            for u in e.carrier
+            if u not in e.atoms and any(leq[a][u] for a in failing_atoms)
+        ]
+        # each atom once, then the elements above a failing atom in index
+        # order, up to the witness's u; a failing atom's cell is not redone
+        assert calls == list(e.atoms) + [u for u in above if u <= w.u]
+        scanned_above += len(calls) > len(e.atoms)
+    assert scanned_above
 
 
 # A ten-element algebra with trivial sharps (atoms 8 and 9) whose failures
