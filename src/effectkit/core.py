@@ -18,19 +18,21 @@ invalid table never gets one.  A CheckedEffectAlgebra keeps by_sum, which
 the associativity scan, the atoms, homogeneity and L22 read so that each
 visits only the cells that can matter.  The order is stored in one form,
 the int-bitset down-sets and up-sets of _bounds, filled from by_sum; le
-and the order queries (sharpness, intervals, meets, joins and covers) and
-the bodies of L14, L33, T36 and C1 read it.  Each derived property is
-computed once, on first use, and kept: _bounds, sharp_set, is_lattice
-and homogeneity_witness.
+and the order queries (sharpness, intervals, meets, joins and covers),
+the homogeneity scan unsplit_cell and the bodies of L14, L22, L33, T36
+and C1 read it.  Each derived property is computed once, on first use,
+and kept: _bounds, sharp_set, is_lattice and homogeneity_witness.
 
-Homogeneity is decided at the atoms.  Homogeneity at x and at y gives it
-at x + y: if x + y <= v1 + v2 <= (x + y)', then x <= v1 + v2 <= x', so
-x = x1 + x2 with xi <= vi; writing vi = xi + wi, cancellation gives
-y <= w1 + w2 <= y', so y = y1 + y2 with yi <= wi, and xi + yi <= vi split
-x + y.  Every element of a finite effect algebra is a sum of atoms and
-homogeneity holds at 0, so an algebra is homogeneous exactly when it is
-homogeneous at its atoms, and every element at which homogeneity fails
-lies above an atom at which it fails (see homogeneity_witness).
+Homogeneity is decided at the atoms, by this lemma: homogeneity at x and
+at y gives it at x + y.  Proof.  Let u = x + y <= v1 + v2 <= u'.  Then
+x <= v1 + v2 <= u' <= x', so x = x1 + x2 with xi <= vi; write
+vi = xi + wi.  From x + y <= x + (w1 + w2), cancellation gives
+y <= w1 + w2.  Since (v1 + v2) + u is defined, so is (w1 + w2) + y, and
+w1 + w2 <= y'.  So y = y1 + y2 with yi <= wi, and ui = xi + yi <= vi
+gives u = u1 + u2.  Every element of a finite effect algebra is a sum of
+atoms and homogeneity holds at 0, so an algebra is homogeneous exactly
+when it is homogeneous at its atoms, and every element at which
+homogeneity fails lies above an atom at which it fails.
 """
 
 from collections import namedtuple
@@ -74,10 +76,11 @@ class CheckedEffectAlgebra(
     the defined cells by their sum: by_sum[t] lists the cells (x, y) with
     x + y = t, row-major.  The order is held only as the int bitsets of
     _bounds, which le, is_sharp, sharp_set, interval, meet, join,
-    is_lattice and hasse_covers read.  The derived properties _bounds,
-    sharp_set, is_lattice and homogeneity_witness are cached in the
-    instance __dict__ (so this record has no __slots__): each is computed
-    on first use and then read, at most once per algebra.  Otherwise
+    is_lattice, hasse_covers and unsplit_cell read.  The derived
+    properties _bounds, sharp_set, is_lattice and homogeneity_witness are
+    cached in the instance __dict__ (so this record has no __slots__):
+    each is computed on first use and then read, at most once per
+    algebra.  Otherwise
     immutable after validation; safe to share across concurrent readers.
     """
 
@@ -169,41 +172,64 @@ class CheckedEffectAlgebra(
             down[x] & down[y] in by_down for x in range(n) for y in range(x + 1, n)
         )
 
+    def unsplit_cell(self, u, splits):
+        """The least cell (v1, v2), row-major, with u <= v1 + v2 <= u' and no
+        split u1 + u2 = u below it (u1 <= v1, u2 <= v2), or None when there
+        is none.  splits holds cells (u1, u2) with u1 + u2 = u; the trivial
+        splits 0 + u and u + 0 count whether listed or not.
+
+        Only u <= u' can fail.  Bit k of m1[v1] (m2[v2]) marks a split
+        u1 + u2 = u with u1 <= v1 (u2 <= v2): bits 0 and 1 the trivial
+        splits 0 + u and u + 0, bits 2, 3, ... the other splits, one each.
+        A defined cell (v1, v2) whose sum lies in [u, u'] fails iff
+        m1[v1] & m2[v2] == 0.  Its summands lie below u', so the masks are
+        built for the elements below u' only, and there a summand lies
+        above u iff it lies in [u, u'].  The cells of by_sum[t] for t in [u, u'] are scanned one
+        sum at a time, so the least of each sum's first failing cell is the
+        row-major first.
+        """
+        down, up, _, _ = self._bounds
+        below = down[self.ortho[u]]
+        if not below >> u & 1:
+            return None
+        between = _bits(up[u] & below)
+        m1, m2 = [1] * self.size, [2] * self.size
+        for v in between:
+            m1[v] |= 2
+            m2[v] |= 1
+        bit = 4
+        for u1, u2 in splits:
+            if u1 and u2:
+                for v in _bits(up[u1] & below):
+                    m1[v] |= bit
+                for v in _bits(up[u2] & below):
+                    m2[v] |= bit
+                bit <<= 1
+        fails = []  # the first failing cell of each sum in [u, u']
+        for t in between:
+            for v1, v2 in self.by_sum[t]:
+                if not m1[v1] & m2[v2]:
+                    fails.append((v1, v2))
+                    break
+        return min(fails, default=None)
+
     @cached_property
     def homogeneity_witness(self):
         """Lexicographically first (u, v1, v2) at which homogeneity fails, or
         None when the algebra is homogeneous.
 
         Homogeneity at u: whenever u <= v1 + v2 <= u' (the sum defined), u
-        splits as u1 + u2 with u1 <= v1 and u2 <= v2; _unsplit_cell decides
-        it for one u.  The algebra is homogeneous when it holds at every u,
-        and it is decided at the atoms first, by this lemma: homogeneity at
-        x and at y gives homogeneity at x + y.
-
-        Proof.  Let u = x + y <= v1 + v2 <= u'.  Then x <= v1 + v2 <= u' <= x',
-        so x = x1 + x2 with xi <= vi; write vi = xi + wi.  From
-        x + y <= x + (w1 + w2), cancellation gives y <= w1 + w2.  Since
-        (v1 + v2) + u is defined, so is (w1 + w2) + y, and w1 + w2 <= y'.
-        So y = y1 + y2 with yi <= wi, and ui = xi + yi <= vi gives
-        u = u1 + u2.
-
-        Homogeneity holds at 0, and every element of a finite effect algebra
-        is a sum of atoms, so every u at which it fails lies above an atom
-        at which it fails.  Hence each atom is checked; if none fails the
-        algebra is homogeneous, else only the elements above a failing
-        atom are checked, in index order, and the first that fails gives
-        the witness, with the least failing cell of its sums.  The boolean
-        order rows that _unsplit_cell reads are filled from by_sum, which
-        holds only the defined cells.
+        splits as u1 + u2 with u1 <= v1 and u2 <= v2; unsplit_cell decides
+        it for one u.  By the lemma of the module docstring each atom is
+        checked; if none fails the algebra is homogeneous, else only the
+        elements above a failing atom are checked, in index order, and the
+        first that fails gives the witness, with the least failing cell of
+        its sums.
         """
-        n, ortho, by_sum = self.size, self.ortho, self.by_sum
-        leq = [[False] * n for _ in range(n)]  # leq[z][y] iff z <= y
-        for y, cells in enumerate(by_sum):
-            for z, _ in cells:
-                leq[z][y] = True
+        by_sum = self.by_sum
         fails = {}  # each failing atom's least failing cell
         for a in self.atoms:
-            cell = _unsplit_cell(leq, ortho, by_sum, a)
+            cell = self.unsplit_cell(a, by_sum[a])
             if cell is not None:
                 fails[a] = cell
         if not fails:
@@ -214,7 +240,7 @@ class CheckedEffectAlgebra(
             above |= up[a]
         # the failing atoms lie in `above`, so this loop returns
         for u in _bits(above):
-            cell = fails.get(u) or _unsplit_cell(leq, ortho, by_sum, u)
+            cell = fails.get(u) or self.unsplit_cell(u, by_sum[u])
             if cell is not None:
                 return HomogeneityWitness(u, *cell)
 
@@ -238,45 +264,6 @@ def _bits(m):
         out.append(low.bit_length() - 1)
         m ^= low
     return tuple(out)
-
-
-def _unsplit_cell(leq, ortho, by_sum, u):
-    """The least cell (v1, v2), row-major, with u <= v1 + v2 <= u' and no
-    split u1 + u2 = u below it (u1 <= v1, u2 <= v2), or None when
-    homogeneity holds at u.
-
-    Only u <= u' can fail.  Bit k of m1[v1] (m2[v2]) marks the k-th split
-    u1 + u2 = u in by_sum[u] with u1 <= v1 (u2 <= v2), and a defined cell
-    (v1, v2) whose sum lies in [u, u'] fails iff m1[v1] & m2[v2] == 0.
-    Only the cells of by_sum[t] for t in [u, u'] are scanned, one sum at a
-    time, so the least failing cell over those sums is the row-major
-    first.  Their summands lie below t, so below u', and the masks are
-    built for the elements below u' only: the first components of the
-    cells of by_sum[u'].  The mask loop indexes the order once per split
-    and element, so it reads rows of booleans (leq[z][y] iff z <= y), not
-    the bitsets of _bounds, which are slower there.
-    """
-    up, leq_u = ortho[u], leq[u]
-    if not leq_u[up]:
-        return None
-    below = [v for v, _ in by_sum[up]]
-    m1, m2 = [0] * len(leq), [0] * len(leq)
-    for k, (u1, u2) in enumerate(by_sum[u]):
-        bit = 1 << k
-        leq1, leq2 = leq[u1], leq[u2]
-        for v in below:
-            if leq1[v]:
-                m1[v] |= bit
-            if leq2[v]:
-                m2[v] |= bit
-    fails = []  # the first failing cell of each sum in [u, u']
-    for t in below:
-        if leq_u[t]:
-            for v1, v2 in by_sum[t]:
-                if not m1[v1] & m2[v2]:
-                    fails.append((v1, v2))
-                    break
-    return min(fails, default=None)
 
 
 def _scan_cells(t):

@@ -103,28 +103,15 @@ def check_L22(e):
     """In a homogeneous algebra, a defined sum inside [a, a'] (a an atom with
     a <= a') must dominate a in one of its summands.
 
-    The only splits of an atom a are 0 + a and a + 0, so this condition is
-    homogeneity at a.  Homogeneity at x and at y gives it at x + y (proved
-    in the core module docstring), so for a finite effect algebra the
-    condition at every atom is equivalent to homogeneity.
-
-    For each such atom only the cells of by_sum[t], t in [a, a'], are
-    scanned, one sum at a time; the least failing cell over those sums is
-    the row-major first, so the witness (a, v1, v2) is that of a scan over
-    all cells."""
+    This is unsplit_cell with only the trivial splits 0 + a and a + 0,
+    which for a real atom are all of its splits, so the condition is
+    homogeneity at a; holding at every atom, it is equivalent to
+    homogeneity (the lemma of the core module docstring).  The witness (a, v1, v2)
+    holds the least failing cell, row-major, of the first failing atom."""
     for a in e.atoms:
-        ap = e.ortho[a]
-        if not e.le(a, ap):
-            continue
-        above = set(e.interval(a, e.one))
-        fails = []  # the first failing cell of each sum in [a, a']
-        for t in e.interval(a, ap):
-            for v1, v2 in e.by_sum[t]:
-                if v1 not in above and v2 not in above:
-                    fails.append((v1, v2))
-                    break
-        if fails:
-            return (a, *min(fails))
+        cell = e.unsplit_cell(a, ())
+        if cell is not None:
+            return (a, *cell)
     return None
 
 

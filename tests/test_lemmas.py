@@ -3,6 +3,7 @@ import functools
 import inspect
 import random
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -176,14 +177,14 @@ def test_homogeneity_at_the_atoms_decides_it(e6):
 
 
 def test_homogeneity_checks_the_atoms_then_only_above_a_failing_one(monkeypatch):
-    real = ek.core._unsplit_cell
+    real = ek.core.CheckedEffectAlgebra.unsplit_cell
     calls = []
 
-    def counting(leq, ortho, by_sum, u):
+    def counting(e, u, splits):
         calls.append(u)
-        return real(leq, ortho, by_sum, u)
+        return real(e, u, splits)
 
-    monkeypatch.setattr(ek.core, "_unsplit_cell", counting)
+    monkeypatch.setattr(ek.core.CheckedEffectAlgebra, "unsplit_cell", counting)
     e = ek.validate(relabelled(hsum(3, 4, 5).table, random.Random(3)))
     assert e.homogeneity_witness is None and calls == list(e.atoms) and len(calls) == 3
     calls.clear()
@@ -204,6 +205,20 @@ def test_homogeneity_checks_the_atoms_then_only_above_a_failing_one(monkeypatch)
         assert calls == list(e.atoms) + [u for u in above if u <= w.u]
         scanned_above += len(calls) > len(e.atoms)
     assert scanned_above
+
+
+def test_homogeneity_allocates_no_order_matrix():
+    # The scan reads the order bitsets: its masks take O(n) memory, where an
+    # n x n table of the order on chain(255) would take about 0.5 MiB.
+    e = ek.chain(255)
+    e._bounds
+    tracemalloc.start()
+    try:
+        assert e.homogeneity_witness is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 # A ten-element algebra with trivial sharps (atoms 8 and 9) whose failures
@@ -327,6 +342,10 @@ def test_L22_matches_all_cells_scan(reference_algebras):
         r = report("L22", e)
         assert (r.verdict, r.witness) == L22_outcome_alt(e)
         verdicts.add(r.verdict)
+        # the body itself, also where report stops at the hypothesis
+        assert check_L22(e) == first_L22_failure_alt(e)
+        for a in e.atoms:
+            assert e.unsplit_cell(a, ()) == e.unsplit_cell(a, e.by_sum[a])
     assert verdicts == {PASS, NOT_APPLICABLE}
 
 
