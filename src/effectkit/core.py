@@ -15,7 +15,7 @@ positivity.  BadIndex is raised at once, then BadZero, NotCommutative,
 ZeroOneLawViolated, OrthoMissing, OrthoNotUnique and NotAssociative in
 that order; a breach is raised only after associativity passes, so an
 invalid table never gets one.  A CheckedEffectAlgebra keeps by_sum, which
-the associativity scan, the atoms, homogeneity and L22 read so that each
+the associativity check, the atoms, homogeneity and L22 read so that each
 visits only the cells that can matter.  The order is stored in one form,
 the int-bitset down-sets and up-sets of _bounds, filled from by_sum; le
 and the order queries (sharpness, intervals, meets, joins and covers),
@@ -33,6 +33,31 @@ gives u = u1 + u2.  Every element of a finite effect algebra is a sum of
 atoms and homogeneity holds at 0, so an algebra is homogeneous exactly
 when it is homogeneous at its atoms, and every element at which
 homogeneity fails lies above an atom at which it fails.
+
+Associativity is decided at the atoms too, by this lemma.  Write p ~ q
+when p and q are both undefined, or both defined and equal; let h(x) be
+the number of cells (y, z) with y + z = x and deg(w) the number of
+defined cells in row w.  Take a table with index 0 acting as zero, and
+a set of elements, the atoms, such that for each atom a:
+  (1) (a + y) + z ~ a + (y + z) whenever a + (y + z) is defined,
+  (2) the sum over the defined a + x of h(x) - deg(a + x) is 0,
+and such that every x != 0 is a + y for an atom a and some y with
+h(y) < h(x).  Then the table is associative.  Proof.  The pairs (y, z)
+with a + (y + z) defined number the sum of h(x), and those with
+(a + y) + z defined the sum of deg(a + x), both over the defined a + x.
+By (1) the first set lies in the second, so each atom's share of (2) is
+at most 0; the sum is 0, so the two sets are equal and
+(a + y) + z ~ a + (y + z) for every y, z.  Now x + (b + c) ~ (x + b) + c
+by induction on h(x): the zero row gives it at x = 0, and for
+x = a + y with h(y) < h(x),
+  x + (b + c) ~ a + (y + (b + c)) ~ a + ((y + b) + c)
+              ~ (a + (y + b)) + c ~ ((a + y) + b) + c = (x + b) + c.
+Conversely every effect algebra satisfies all three, with its atoms:
+(1) and (2) because it is associative, and each x != 0 lies above an
+atom a, so x = a + (x - a); by cancellation h(x) is the number of
+elements below x, and by positivity fewer lie below x - a.  So on a
+table that passes validate's earlier checks the atom check fails exactly
+when the table is not associative.
 """
 
 from collections import namedtuple
@@ -364,6 +389,61 @@ def verify_validation_witness(table, err):
     return False
 
 
+def _associative_at_atoms(s, by_sum, atoms):
+    """True iff the table is associative, decided at the atoms by the lemma
+    of the module docstring; s must pass validate's earlier checks.
+
+    Over each atom a and each defined a + x: every cell (b, c) of x has
+    (a + b) + c defined and equal to a + x; the h(x) - deg(a + x), with
+    h(x) = len(by_sum[x]), add up to 0 in balance; and every nonzero
+    element is reached, as some a + x with h(x) < h(a + x).
+    """
+    n = len(s)
+    deg = [n - row.count(UNDEF) for row in s]
+    balance, reached = 0, 1  # 0 needs no reaching
+    for a in atoms:
+        row_a = s[a]
+        for x, a_x in enumerate(row_a):
+            if a_x == UNDEF:
+                continue
+            cells = by_sum[x]
+            for b, c in cells:
+                ab = row_a[b]
+                if ab == UNDEF or s[ab][c] != a_x:
+                    return False
+            h = len(cells)
+            balance += h - deg[a_x]
+            if h < len(by_sum[a_x]):
+                reached |= 1 << a_x
+    return balance == 0 and reached == (1 << n) - 1
+
+
+def _raise_first_not_associative(s, by_sum):
+    """Raise NotAssociative at the lexicographically first failing triple,
+    if there is one.
+
+    One direction over all ordered triples covers both readings of
+    associativity, given commutativity: a + (b + c) defined forces
+    (a + b) + c defined and equal.  Only triples with a + (b + c) defined
+    can fail, so each a walks its defined sums a + x and the cells (b, c)
+    of x.  That walk goes by x, not by (b, c), so the least of each x's
+    first failing cell is the lexicographic one.
+    """
+    for a in range(len(s)):
+        row_a = s[a]
+        fails = []  # the first failing cell (b, c) of each sum x
+        for x, a_x in enumerate(row_a):
+            if a_x == UNDEF:
+                continue
+            for b, c in by_sum[x]:
+                ab = row_a[b]
+                if ab == UNDEF or s[ab][c] != a_x:
+                    fails.append((b, c))
+                    break
+        if fails:
+            raise ValidationError("NotAssociative", (a, *min(fails)))
+
+
 def validate(table):
     """Check the effect-algebra axioms and derive the ortho map and atoms.
 
@@ -377,10 +457,12 @@ def validate(table):
     raises BadIndex at the first bad cell, since no other kind outranks
     it, and notes the least transpose mismatch, by_sum and the first
     breach of cancellation or positivity; the other kinds follow in the
-    order above.  The associativity scan visits only the triples whose
-    a + (b + c) is defined, reached through by_sum; it raises the least
-    failing (b, c) of the least failing a, the first witness of a scan
-    over all n**3 triples.  The atoms are read off by_sum as well.
+    order above.  The atoms are read off by_sum, and the atom check
+    (_associative_at_atoms, the lemma of the module docstring) decides
+    associativity from their triples alone.  Only when it fails does the
+    scan over every triple with a + (b + c) defined run, to name the
+    witness: the least failing (b, c) of the least failing a, the first of
+    a scan over all n**3 triples.
     Cancellation, positivity and an involutive orthosupplement follow from
     the axioms; a breach is raised last, as AssertionError, which marks a
     bug in the checks above.
@@ -412,25 +494,14 @@ def validate(table):
             raise ValidationError("OrthoNotUnique", (x, first, row.index(one, first + 1)))
         ortho.append(first)
 
-    # One direction over all ordered triples covers both readings of
-    # associativity, given commutativity was verified above: a + (b + c)
-    # defined forces (a + b) + c defined and equal.  Only triples with
-    # a + (b + c) defined can fail, so each a walks its defined sums a + x
-    # and the cells (b, c) of x.  That walk goes by x, not by (b, c), so the
-    # least of each x's first failing cell is the lexicographic one.
-    for a in range(n):
-        row_a = s[a]
-        fails = []  # the first failing cell (b, c) of each sum x
-        for x, a_x in enumerate(row_a):
-            if a_x == UNDEF:
-                continue
-            for b, c in by_sum[x]:
-                ab = row_a[b]
-                if ab == UNDEF or s[ab][c] != a_x:
-                    fails.append((b, c))
-                    break
-        if fails:
-            raise ValidationError("NotAssociative", (a, *min(fails)))
+    # x != 0 is an atom iff nothing but 0 and x lies below it: by
+    # cancellation and positivity, iff its only cells are (0, x) and (x, 0).
+    # On a table not yet known to be valid they need not be atoms; the atom
+    # check is sound for any elements, as it tests all that it relies on.
+    atoms = tuple(x for x in range(1, n) if len(by_sum[x]) == 2)
+    if not _associative_at_atoms(s, by_sum, atoms):
+        _raise_first_not_associative(s, by_sum)
+        raise AssertionError("the atom check rejected an associative table")
 
     # Consequences of the axioms, never assumed above.
     if breach is not None:
@@ -439,9 +510,6 @@ def validate(table):
         if ortho[ortho[x]] != x:
             raise AssertionError(f"orthosupplement not involutive at {x}")
 
-    # x != 0 is an atom iff nothing but 0 and x lies below it: by
-    # cancellation and positivity, iff its only cells are (0, x) and (x, 0).
-    atoms = tuple(x for x in range(1, n) if len(by_sum[x]) == 2)
     return CheckedEffectAlgebra(
         table=table, ortho=tuple(ortho), atoms=atoms, by_sum=by_sum
     )

@@ -231,6 +231,21 @@ def non_homogeneous_fixture():
     return ek.validate(ek.parse(fixture_bytes("smallest_non_homogeneous_trivial_sharp.json")))
 
 
+def fixture_sums():
+    """Horizontal sums holding the non-homogeneous fixture, relabelled."""
+    rng = random.Random(11)
+    fixture = non_homogeneous_fixture()
+    return [
+        ek.validate(relabelled(ek.horizontal_sum(parts).table, rng))
+        for parts in (
+            [fixture, ek.chain(2)],
+            [ek.chain(3), fixture],
+            [ek.chain(1), fixture, ek.chain(4)],
+            [fixture, fixture],
+        )
+    ]
+
+
 @pytest.fixture(scope="session")
 def reference_algebras(e6):
     """Every isomorphism class of sizes 2-7 under a seeded relabelling, the

@@ -13,7 +13,7 @@ from effectkit import cli
 from effectkit.cli import main
 from effectkit.lemmas import STATEMENTS, analyze
 
-from conftest import BAD_SUM_ROWS, FIXTURES, HOSTILE_DOCUMENTS, fixture_bytes
+from conftest import BAD_SUM_ROWS, FIXTURES, HOSTILE_DOCUMENTS, first_violation_alt, fixture_bytes
 
 NON_HOMOG = os.path.join(FIXTURES, "smallest_non_homogeneous_trivial_sharp.json")
 
@@ -288,6 +288,21 @@ def test_oversize_table_file_exits_2_at_once(tmp_path):
     assert proc.returncode == 2
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("parse error") and "limit" in err[0]
+
+
+def test_non_associative_table_at_the_size_limit_names_the_first_witness(tmp_path, capsys):
+    # chain:255 with 60 + 70 undefined: the orthosupplements and the
+    # zero-one law still hold, so only associativity fails, at the largest
+    # size a table file may have
+    n = ek.corpus.MAX_SIZE
+    rows = [list(r) for r in ek.chain(n - 1).table.sum]
+    rows[60][70] = rows[70][60] = ek.UNDEF
+    t = ek.EffectAlgebraTable.from_rows(n, n - 1, rows)
+    path = write_table(tmp_path, "chain255.json", ek.serialize(t))
+    assert main(["validate", path]) == 1
+    kind, witness = first_violation_alt(t)
+    assert kind == "NotAssociative"
+    assert capsys.readouterr().err == f"invalid: NotAssociative witness={witness}\n"
 
 
 def test_console_entry_smoke():

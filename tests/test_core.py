@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effectkit as ek
+from effectkit import core
 from effectkit.core import (
     UNDEF,
     EffectAlgebraTable,
@@ -24,6 +25,7 @@ from conftest import (
     atoms_alt,
     corrupted,
     first_violation_alt,
+    fixture_sums,
     hasse_covers_alt,
     interval_alt,
     is_lattice_alt,
@@ -513,6 +515,65 @@ def test_associativity_witness_is_the_lexicographic_first(i, j, v, first):
     assert (exc.value.kind, exc.value.witness) == first_violation_alt(t)
     assert exc.value.witness == first
     assert verify_validation_witness(t, exc.value)
+
+
+def symmetric_table(n, one, cells):
+    """Size n: row and column 0 act as zero, each (i, j, v) in cells sets
+    i + j = j + i = v, and every other sum is undefined."""
+    rows = [[U] * n for _ in range(n)]
+    for x in range(n):
+        rows[0][x] = rows[x][0] = x
+    for i, j, v in cells:
+        rows[i][j] = rows[j][i] = v
+    return table(n, one, rows)
+
+
+@pytest.mark.parametrize(
+    "n,cells,witness",
+    [
+        # no atoms, so the cells and the balance pass vacuously, and only
+        # the reached marks reject it
+        (4, [(2, 2, 2), (2, 3, 1), (3, 3, 3)], (2, 3, 3)),
+        # the atoms 2 and 4 reach every element and their cells pass, but
+        # the balance is -1: only it rejects the table
+        (5, [(2, 4, 1), (3, 3, 1), (4, 4, 3)], (3, 4, 4)),
+    ],
+)
+def test_each_condition_of_the_atom_check_rejects_alone(n, cells, witness):
+    t = symmetric_table(n, 1, cells)
+    with pytest.raises(ValidationError) as exc:
+        validate(t)
+    assert (exc.value.kind, exc.value.witness) == first_violation_alt(t)
+    assert exc.value.witness == witness
+    assert verify_validation_witness(t, exc.value)
+
+
+def test_witness_scan_runs_only_on_non_associative_tables(monkeypatch):
+    real = core._raise_first_not_associative
+    calls = 0
+
+    def counting(s, by_sum):
+        nonlocal calls
+        calls += 1
+        real(s, by_sum)
+
+    monkeypatch.setattr(core, "_raise_first_not_associative", counting)
+    rng = random.Random(25)
+    for n in range(2, 10):
+        for key in ek.enumerate_all(n):
+            validate(relabelled(ek.parse(key), rng))
+    ek.chain(255)
+    ek.from_spec("prod:diamond,diamond,diamond,diamond")
+    ek.horizontal_sum([ek.chain(2)] * 60)
+    fixture_sums()
+    assert calls == 0
+    not_associative = 0
+    for t in differential_tables():
+        before = calls
+        kind = validate_outcome(t)[0]
+        assert calls - before == (kind == "NotAssociative")
+        not_associative += kind == "NotAssociative"
+    assert calls == not_associative > 0
 
 
 def chain_with(n, cells):

@@ -29,6 +29,7 @@ from effectkit.lemmas import (
 from conftest import (
     first_homogeneity_failure_alt,
     first_L22_failure_alt,
+    fixture_sums,
     homogeneity_failures_alt,
     is_homogeneous_alt,
     is_sharp_alt,
@@ -71,21 +72,6 @@ def test_homogeneity_differential_variants(e):
 
 def test_homogeneity_differential_on_non_homogeneous(e6):
     assert not is_homogeneous_alt(e6)
-
-
-def fixture_sums():
-    """Horizontal sums holding the non-homogeneous fixture, relabelled."""
-    rng = random.Random(11)
-    fixture = non_homogeneous_fixture()
-    return [
-        ek.validate(relabelled(ek.horizontal_sum(parts).table, rng))
-        for parts in (
-            [fixture, ek.chain(2)],
-            [ek.chain(3), fixture],
-            [ek.chain(1), fixture, ek.chain(4)],
-            [fixture, fixture],
-        )
-    ]
 
 
 def test_homogeneity_witness_matches_search_by_definition(reference_algebras):
