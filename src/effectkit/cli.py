@@ -173,8 +173,6 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if args.subcommand == "enumerate":
-        args.parallel = max(1, args.parallel)
     try:
         return _COMMANDS[args.subcommand](args)
     except (ParseError, SpecError) as exc:

@@ -125,14 +125,9 @@ def direct_product(e, f):
 
 
 def boolean_diamond():
-    """The four-element Boolean algebra {0, p, q, 1} with p + q = 1."""
-    rows = [
-        [0, 1, 2, 3],
-        [1, UNDEF, 3, UNDEF],
-        [2, 3, UNDEF, UNDEF],
-        [3, UNDEF, UNDEF, UNDEF],
-    ]
-    return validate(EffectAlgebraTable.from_rows(4, 3, rows))
+    """The four-element Boolean algebra {0, p, q, 1} with p + q = 1, the
+    product of two two-element chains."""
+    return direct_product(chain(1), chain(1))
 
 
 def serialize(table):

@@ -40,18 +40,21 @@ Parallel runs: one pool of worker processes serves a whole command, every
 size of it.  Its tasks are the searches below each value of the first
 cell (2, 2) (undefined, 1, 3, ..., n - 1) of every size n >= 3, and the
 whole search of size 2.  All tasks are queued at once in size order and
-their results are read back in that order, so the parent surveys or
+their results are read back in that order, so the parent adds up or
 writes size n while the workers search the sizes after it.  Each size's
-keys are merged and sorted, so the output is identical for every
---parallel.  A serial run maps the search over the same tasks in this
+classes are merged and sorted by key, so the output is identical for
+every --parallel.  A serial run maps the search over the same tasks in this
 process, with no pool.
 
-Survey: survey_row is the one scan that parses, validates and classifies
-the enumerated keys.  It counts the homogeneous and the trivial-sharp keys.
-On the keys that are both, the hypothesis class, it calls the bodies of
-the theorem's conclusions, lemmas.check_C2 and check_C3, with no guard, as
-the key is known to meet their hypotheses; a key on which either returns
-a witness is a counterexample, which the theorem rules out.
+Survey: the task that finds a class classifies it, in the same process:
+_enumeration_worker validates each emitted table once and returns its key
+with three flags, homogeneous, trivial sharps and verified.  On a table
+that is both homogeneous and trivial-sharp, the hypothesis class, it calls
+the bodies of the theorem's conclusions, lemmas.check_C2 and check_C3,
+with no guard, as the table is known to meet their hypotheses; verified
+means both return no witness, and a member that is not verified is a
+counterexample, which the theorem rules out.  survey_row only adds up the
+flags, so no key is parsed back.
 """
 
 import os
@@ -61,7 +64,7 @@ from itertools import islice
 from multiprocessing import Pool
 
 from .core import UNDEF, EffectAlgebraTable, validate
-from .corpus import parse, serialize
+from .corpus import serialize
 from .lemmas import check_C2, check_C3, has_trivial_sharps, is_homogeneous
 
 DEFAULT_MAX_SIZE = 10
@@ -323,19 +326,17 @@ def _undefined(members, values):
 
 
 def _least(n, rel, p, members, values):
-    """The least value above undefined that an element of the cell at p
-    with a decided value in the row can take there, and the (element,
-    value) pairs that take it; n and no pairs if there is none.  An
-    interior value takes its index if placed, else the least index of its
-    cell, or p + 1 if that cell is this one."""
+    """The least value that an element of the cell at p can take there,
+    and the (element, value) pairs that take it.  Every value in the row
+    is decided and defined; the unit takes 1, an interior value its index
+    if placed, else the least index of its cell, or p + 1 if that cell is
+    this one."""
     if 1 in values:
         return 1, [(members[values.index(1)], 1)]
     lo = 2 * n
     least = n
     ties = []
     for x, v in zip(members, values):
-        if v < 2:
-            continue
         first = rel[lo + rel[n + v]]
         if first == p:
             first += 1
@@ -527,8 +528,16 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
 
 
 def _enumeration_worker(args):
-    n, values = args
-    return [serialize(t) for t in _enumerate_tables(n, values)]
+    """The classes of one task, each as (key, homogeneous, trivial_sharps,
+    verified): the table's serialization and the flags survey_row adds up,
+    the table validated once."""
+    classes = []
+    for t in _enumerate_tables(*args):
+        e = validate(t)
+        h, s = is_homogeneous(e), has_trivial_sharps(e)
+        verified = h and s and check_C2(e) is None and check_C3(e) is None
+        classes.append((serialize(t), h, s, verified))
+    return classes
 
 
 def _check_sizes(max_n, max_size):
@@ -548,7 +557,8 @@ def _first_cell_tasks(n):
 
 
 def _enumerate_sizes(sizes, parallel):
-    """Yield (n, sorted canonical keys) for each n of sizes, in order.
+    """Yield (n, classes) for each n of sizes, in order: the workers'
+    (key, homogeneous, trivial_sharps, verified) tuples, sorted by key.
 
     The tasks are the first-cell searches of every size.  With more than
     one worker, one pool of min(parallel, tasks of the largest size)
@@ -572,11 +582,10 @@ def _enumerate_sizes(sizes, parallel):
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         results = (pool.imap if pool else map)(_enumeration_worker, tasks)
         for n, size_tasks in zip(sizes, per_size):
-            parts = list(islice(results, len(size_tasks)))
-            keys = set().union(*parts)
-            if len(keys) != sum(map(len, parts)):
+            classes = sorted(c for part in islice(results, len(size_tasks)) for c in part)
+            if len({c[0] for c in classes}) != len(classes):
                 raise AssertionError("search emitted the same labeled table twice")
-            yield n, sorted(keys)
+            yield n, classes
 
 
 def enumerate_all(n, max_size=None, parallel=1):
@@ -585,27 +594,23 @@ def enumerate_all(n, max_size=None, parallel=1):
     of an emitted table, the least relabeling of its class, as the tests'
     scan oracle pins."""
     _check_sizes(n, max_size)
-    ((_, keys),) = _enumerate_sizes([n], parallel)
-    return keys
+    ((_, classes),) = _enumerate_sizes([n], parallel)
+    return [c[0] for c in classes]
 
 
-def survey_row(n, keys):
-    """Aggregate the structure-theorem flags over one size's canonical keys:
-    a hypothesis-class key (homogeneous, trivial sharps) is verified when
-    the bodies of the theorem's conclusions C2 and C3 return no witness."""
+def survey_row(n, classes):
+    """Add up the structure-theorem flags of one size's classes, the
+    (key, homogeneous, trivial_sharps, verified) tuples of
+    _enumeration_worker."""
     homog = trivial = hyp = verified = 0
-    for key in keys:
-        e = validate(parse(key))
-        h = is_homogeneous(e)
-        t = has_trivial_sharps(e)
+    for _, h, t, v in classes:
         homog += h
         trivial += t
-        if h and t:
-            hyp += 1
-            verified += check_C2(e) is None and check_C3(e) is None
+        hyp += h and t
+        verified += v
     return SurveyRow(
         size=n,
-        total=len(keys),
+        total=len(classes),
         homogeneous=homog,
         trivial_sharp=trivial,
         hypothesis_class=hyp,
@@ -624,7 +629,7 @@ def survey(max_n, max_size=None, parallel=1):
     """One row per size 2..max_n aggregating the structure-theorem flags."""
     _check_sizes(max_n, max_size)
     with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
-        return [survey_row(n, keys) for n, keys in sizes]
+        return [survey_row(n, classes) for n, classes in sizes]
 
 
 def write_enumeration(out_dir, max_n, max_size=None, parallel=1):
@@ -633,13 +638,13 @@ def write_enumeration(out_dir, max_n, max_size=None, parallel=1):
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
-        for n, keys in sizes:
+        for n, classes in sizes:
             size_dir = os.path.join(out_dir, f"size_{n}")
             os.makedirs(size_dir, exist_ok=True)
-            for idx, key in enumerate(keys):
+            for idx, (key, *_) in enumerate(classes):
                 with open(os.path.join(size_dir, f"{idx:04d}.json"), "wb") as fh:
                     fh.write(key)
-            rows.append(survey_row(n, keys))
+            rows.append(survey_row(n, classes))
     with open(os.path.join(out_dir, "survey.tsv"), "w", encoding="ascii") as fh:
         fh.write(survey_tsv(rows))
     return rows

@@ -198,8 +198,9 @@ def automorphism_count(t):
 
 
 def counted_search(monkeypatch, n):
-    """Size n's keys from one search of the whole size, its first cell not
-    split, and the number of prefix tests made."""
+    """Size n's classes, the worker's (key, homogeneous, trivial_sharps,
+    verified) tuples sorted by key, from one search of the whole size, its
+    first cell not split, and the number of prefix tests made."""
     real = en._resume_relabelings
     calls = 0
 
@@ -215,7 +216,7 @@ def counted_search(monkeypatch, n):
 @pytest.fixture(scope="session")
 def size_10_search():
     """counted_search at size 10, made once for every test that needs the
-    size-10 keys."""
+    size-10 classes."""
     with pytest.MonkeyPatch.context() as mp:
         return counted_search(mp, 10)
 

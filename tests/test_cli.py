@@ -198,6 +198,21 @@ def test_enumerate_out_dir_and_parallel_determinism(tmp_path, capsys):
     assert stdout.encode("ascii") == tree[Path("survey.tsv")]
 
 
+def test_enumerate_parallel_below_1_runs_serially(capsys, monkeypatch):
+    argv = ["enumerate", "--max-size", "6"]
+    assert main([*argv, "--parallel", "1"]) == 0
+    serial = capsys.readouterr()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(ek.enumeration, "Pool", no_pool)
+    for parallel in ("0", "-1"):
+        assert main([*argv, "--parallel", parallel]) == 0
+        assert capsys.readouterr() == serial
+        assert not multiprocessing.active_children()
+
+
 @pytest.mark.parametrize("size", ["1", "0", "-3"])
 def test_enumerate_size_below_2_is_a_size_error(tmp_path, capsys, size):
     out = tmp_path / "results"

@@ -430,6 +430,34 @@ def test_sources_parse_under_the_oldest_supported_python():
         ast.parse("match x:\n    case _:\n        pass\n", feature_version=(3, 9))
 
 
+def test_a_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
+    # under the project's pytest settings, which turn warnings into errors,
+    # a failing @given test must be a failure like any other, not an
+    # INTERNALERROR that ends the session before the tests after it
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "test_given.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_passes(x):\n"
+        "    assert x == x\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_given.py"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), proc.stdout
+
+
 def validate_outcome(t):
     try:
         e = validate(t)

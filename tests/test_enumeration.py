@@ -63,13 +63,6 @@ SYMMETRIC_SUMS = {7: [(2,) * 5, (3, 3, 2), (6,)], 8: [(2,) * 6, (3, 3, 3), (7,)]
 # labeled tables with the unit at 1 that the unfiltered search emits
 UNFILTERED_COUNTS = {2: 1, 3: 1, 4: 4, 5: 16, 6: 142, 7: 1006}
 
-# the serial size-11 search takes a few seconds; the --parallel 2 one is
-# opt-in
-size_11 = pytest.mark.skipif(
-    os.environ.get("EFFECTKIT_SIZE_11") != "1",
-    reason="size 11 with --parallel 2 only with EFFECTKIT_SIZE_11=1",
-)
-
 
 @pytest.fixture(scope="module")
 def fixture_script():
@@ -129,10 +122,11 @@ def test_prefix_test_counts_are_pinned(monkeypatch, n, count):
 
 
 def test_size_9_count_and_hypothesis_class(monkeypatch):
-    keys, prefix_tests = counted_search(monkeypatch, 9)
+    classes, prefix_tests = counted_search(monkeypatch, 9)
+    keys = [c[0] for c in classes]
     assert prefix_tests == PREFIX_TESTS_AT_9
     assert len(keys) == 60
-    row = survey_row(9, keys)
+    row = survey_row(9, classes)
     assert row.hypothesis_class == 15 == sum(1 for _ in partitions(7))
     assert row.counterexamples == 0
     smaller = [enumerate_all(n) for n in range(2, 9)]
@@ -142,27 +136,28 @@ def test_size_9_count_and_hypothesis_class(monkeypatch):
 
 
 def test_size_10_count_and_hypothesis_class(size_10_search):
-    keys, prefix_tests = size_10_search
+    classes, prefix_tests = size_10_search
+    keys = [c[0] for c in classes]
     assert prefix_tests == PREFIX_TESTS_AT_10
     assert len(keys) == 172
     assert _keys_sha256([keys]) == KEYS_SHA256_AT_10
-    row = survey_row(10, keys)
+    row = survey_row(10, classes)
     assert row.as_tsv() == "10\t172\t64\t81\t22\t22\t0"
     assert row.hypothesis_class == sum(1 for _ in partitions(8))
     assert enumerate_all(10, parallel=2) == keys
 
 
 def test_size_11_count_and_hypothesis_class(monkeypatch):
-    keys, prefix_tests = counted_search(monkeypatch, 11)
+    classes, prefix_tests = counted_search(monkeypatch, 11)
+    keys = [c[0] for c in classes]
     assert prefix_tests == PREFIX_TESTS_AT_11
     assert len(keys) == 282
     assert _keys_sha256([keys]) == KEYS_SHA256_AT_11
-    row = survey_row(11, keys)
+    row = survey_row(11, classes)
     assert row.as_tsv() == "11\t282\t87\t140\t30\t30\t0"
     assert row.hypothesis_class == sum(1 for _ in partitions(9))
 
 
-@size_11
 def test_size_11_parallel_matches_the_pin():
     keys = enumerate_all(11, max_size=11, parallel=2)
     assert _keys_sha256([keys]) == KEYS_SHA256_AT_11
@@ -599,10 +594,10 @@ def test_early_exit_terminates_the_pool_at_once():
 def test_consumer_error_terminates_the_pool(monkeypatch):
     real = en.survey_row
 
-    def failing(n, keys):
+    def failing(n, classes):
         if n == 6:
             raise RuntimeError("survey failed")
-        return real(n, keys)
+        return real(n, classes)
 
     monkeypatch.setattr(en, "survey_row", failing)
     t0 = time.perf_counter()
@@ -675,14 +670,32 @@ def test_survey_rows():
     ]
 
 
+def test_each_class_is_validated_once_in_the_task_that_finds_it(monkeypatch):
+    # the survey classifies the tables the search emits, not their keys
+    # parsed back; with a pool, the parent validates nothing
+    assert not hasattr(en, "parse")
+    calls = Counter()
+    real = en.validate
+
+    def counting(t):
+        calls[t.size] += 1
+        return real(t)
+
+    monkeypatch.setattr(en, "validate", counting)
+    rows = survey(8)
+    assert calls == {row.size: row.total for row in rows}
+    calls.clear()
+    assert survey(8, parallel=2) == rows
+    assert not calls
+
+
 def test_hypothesis_class_counts_match_partitions():
     # homogeneous + trivial sharps is exactly "horizontal sum of chains":
     # per size the members' nonzero chain interiors l - 1 are the
     # partitions of n - 2, each once, and C2 and C3 pass on every member
-    for n in range(2, 9):
-        keys = enumerate_all(n)
-        row = survey_row(n, keys)
-        members = [e for e in map(validate, map(ek.parse, keys))
+    for n, classes in en._enumerate_sizes(range(2, 9), 1):
+        row = survey_row(n, classes)
+        members = [e for e in (validate(ek.parse(c[0])) for c in classes)
                    if is_homogeneous(e) and has_trivial_sharps(e)]
         interiors = sorted(
             tuple(sorted(l - 1 for l in ek.decompose(e).chain_lengths if l > 1))

@@ -504,20 +504,20 @@ SURVEY_TO_9 = {
 
 @pytest.fixture(scope="module")
 def classes():
-    """{n: (keys, algebras)} for every isomorphism class of sizes 2-9."""
-    out = {}
-    for n in SURVEY_TO_9:
-        keys = ek.enumerate_all(n)
-        out[n] = keys, [ek.validate(ek.parse(key)) for key in keys]
-    return out
+    """{n: (classes, algebras)} for every isomorphism class of sizes 2-9:
+    the search's (key, flags) tuples and each key parsed and validated."""
+    return {
+        n: (classes, [ek.validate(ek.parse(c[0])) for c in classes])
+        for n, classes in ek.enumeration._enumerate_sizes(SURVEY_TO_9, 1)
+    }
 
 
-def assert_statement_census(n, keys, members, survey):
+def assert_statement_census(n, classes, members, survey):
     """Every statement on every class of size n: no Fail, L14 and L15 pass
     everywhere, and each other statement passes exactly where its
     hypothesis holds, as counted by the survey's columns."""
     total, homogeneous, trivial, hypothesis_class = survey
-    row = ek.enumeration.survey_row(n, keys)
+    row = ek.enumeration.survey_row(n, classes)
     assert (row.total, row.homogeneous, row.trivial_sharp, row.hypothesis_class) == survey
     counts = Counter((r.lemma_id, r.verdict) for e in members for r in lemma_suite(e))
     passes = {"L14": total, "L15": total, "L20": trivial, "L22": homogeneous}
@@ -530,14 +530,14 @@ def assert_statement_census(n, keys, members, survey):
 
 
 def test_statement_census_sizes_2_to_9(classes):
-    for n, (keys, members) in classes.items():
-        assert_statement_census(n, keys, members, SURVEY_TO_9[n])
+    for n, (found, members) in classes.items():
+        assert_statement_census(n, found, members, SURVEY_TO_9[n])
 
 
 def test_statement_census_size_10(size_10_search):
-    keys = size_10_search[0]
-    members = [ek.validate(ek.parse(key)) for key in keys]
-    assert_statement_census(10, keys, members, (172, 64, 81, 22))
+    classes = size_10_search[0]
+    members = [ek.validate(ek.parse(c[0])) for c in classes]
+    assert_statement_census(10, classes, members, (172, 64, 81, 22))
 
 
 # The first class, by size and then key, on which a body fails when called
