@@ -131,7 +131,7 @@ class CheckedEffectAlgebra(
 
     def interval(self, x, y):
         """All z with x <= z <= y, ascending; empty when x is not below y."""
-        down, up, _, _ = self._bounds
+        down, up, _ = self._bounds
         return _bits(up[x] & down[y])
 
     def multiples(self, x):
@@ -159,11 +159,11 @@ class CheckedEffectAlgebra(
     @cached_property
     def _bounds(self):
         # Down-sets and up-sets as int bitsets (bit z of down[x] iff z <= x),
-        # and each set's element.  z <= y iff some cell (z, c) of by_sum[y]
-        # exists, so one pass over by_sum fills both.  The common lower
-        # bounds of x and y are down[x] & down[y]; they have a greatest
-        # element g iff that set is down[g].  Antisymmetry makes every
-        # down-set (and up-set) distinct.
+        # and each down-set's element.  z <= y iff some cell (z, c) of
+        # by_sum[y] exists, so one pass over by_sum fills both.  The common
+        # lower bounds of x and y are down[x] & down[y]; they have a
+        # greatest element g iff that set is down[g].  Antisymmetry makes
+        # every down-set distinct.
         n = self.size
         down, up = [0] * n, [0] * n
         for y, cells in enumerate(self.by_sum):
@@ -173,25 +173,25 @@ class CheckedEffectAlgebra(
                 up[z] |= bit
             down[y] = below
         by_down = {d: g for g, d in enumerate(down)}
-        by_up = {u: g for g, u in enumerate(up)}
-        return down, up, by_down, by_up
+        return down, up, by_down
 
     def meet(self, x, y):
         """Greatest common lower bound, or None when no greatest one exists."""
-        down, _, by_down, _ = self._bounds
+        down, _, by_down = self._bounds
         return by_down.get(down[x] & down[y])
 
     def join(self, x, y):
-        """Least common upper bound, or None when no least one exists."""
-        _, up, _, by_up = self._bounds
-        return by_up.get(up[x] & up[y])
+        """Least common upper bound, or None when no least one exists: (x' meet
+        y')', as x <= y iff y' <= x' (Foulis and Bennett, Found. Phys. 24, 1994)."""
+        m = self.meet(self.ortho[x], self.ortho[y])
+        return None if m is None else self.ortho[m]
 
     @cached_property
     def is_lattice(self):
         # Meets suffice: in a finite poset with a top (the unit) where every
         # pair has a meet, the join of x and y is the meet of their common
         # upper bounds, a set that holds 1 and so is not empty.
-        down, _, by_down, _ = self._bounds
+        down, _, by_down = self._bounds
         n = self.size
         return all(
             down[x] & down[y] in by_down for x in range(n) for y in range(x + 1, n)
@@ -213,7 +213,7 @@ class CheckedEffectAlgebra(
         sum at a time, so the least of each sum's first failing cell is the
         row-major first.
         """
-        down, up, _, _ = self._bounds
+        down, up, _ = self._bounds
         below = down[self.ortho[u]]
         if not below >> u & 1:
             return None
@@ -272,7 +272,7 @@ class CheckedEffectAlgebra(
     def hasse_covers(self):
         """All pairs (x, y) with x < y and nothing strictly between, ordered
         by x, then y: y covers x iff [x, y] is {x, y} alone."""
-        down, up, _, _ = self._bounds
+        down, up, _ = self._bounds
         return tuple(
             (x, y)
             for x in self.carrier

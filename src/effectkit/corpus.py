@@ -183,9 +183,9 @@ def from_spec(text):
     where PART is "chain:N" or "diamond".  A spec that would build more
     than MAX_SIZE elements raises SpecError.
     """
-    name, _, rest = text.partition(":")
+    name, colon, rest = text.partition(":")
     if name == "diamond":
-        if rest:
+        if colon:
             raise SpecError(f"diamond takes no arguments: {_quote(text)}")
         return boolean_diamond()
     if name == "chain":

@@ -39,12 +39,9 @@ test_search_leaves_no_cyclic_garbage, keeps it so.
 Parallel runs: one pool of worker processes serves a whole command, every
 size of it.  Its tasks are the searches below each value of the first
 cell (2, 2) (undefined, 1, 3, ..., n - 1) of every size n >= 3, and the
-whole search of size 2.  All tasks are queued at once in size order and
-their results are read back in that order, so the parent adds up or
-writes size n while the workers search the sizes after it.  Each size's
-classes are merged and sorted by key, so the output is identical for
-every --parallel.  A serial run maps the search over the same tasks in this
-process, with no pool.
+whole search of size 2.  Each size's classes are merged and sorted by key,
+so the output is identical for every --parallel.  A serial run maps the
+search over the same tasks in this process, with no pool.
 
 Survey: the task that finds a class classifies it, in the same process:
 _enumeration_worker validates each emitted table once and returns its key
@@ -59,7 +56,6 @@ flags, so no key is parsed back.
 
 import os
 from collections import namedtuple
-from contextlib import closing, nullcontext
 from itertools import islice
 from multiprocessing import Pool
 
@@ -557,14 +553,14 @@ def _first_cell_tasks(n):
 
 
 def _enumerate_sizes(sizes, parallel):
-    """Yield (n, classes) for each n of sizes, in order: the workers'
+    """[(n, classes)] for each n of sizes, in order: the workers'
     (key, homogeneous, trivial_sharps, verified) tuples, sorted by key.
 
     The tasks are the first-cell searches of every size.  With more than
     one worker, one pool of min(parallel, tasks of the largest size)
-    processes runs them; otherwise they run in this process.  Leaving the
-    pool's block, also by close() or an exception, terminates its workers
-    without waiting for sizes no longer needed.
+    processes maps them, one task at a time; otherwise they run in this
+    process.  Pool.map returns, or raises a task's error, only once every
+    task is done, so leaving the pool stops no worker in mid-result.
 
     The duplicate guard catches the same labeled table emitted twice, for
     example by overlapping tasks.  It cannot catch a faulty minimality
@@ -572,20 +568,25 @@ def _enumerate_sizes(sizes, parallel):
     that: the golden counts, the scan oracle's check that every emitted
     table is its own least relabeling, the sha256 pins of the keys and the
     filter-off differential test."""
-    sizes = list(sizes)
     per_size = [_first_cell_tasks(n) for n in sizes]
     workers = min(parallel, max(map(len, per_size)))
     tasks = [task for size_tasks in per_size for task in size_tasks]
-    # The platform's default start method, fork on Linux: a pool of two
-    # spawned workers re-imports the package and takes about 0.05 s to
-    # start, against 0.006 s forked, more than the whole size-8 search.
-    with Pool(workers) if workers > 1 else nullcontext() as pool:
-        results = (pool.imap if pool else map)(_enumeration_worker, tasks)
-        for n, size_tasks in zip(sizes, per_size):
-            classes = sorted(c for part in islice(results, len(size_tasks)) for c in part)
-            if len({c[0] for c in classes}) != len(classes):
-                raise AssertionError("search emitted the same labeled table twice")
-            yield n, classes
+    if workers > 1:
+        # The platform's default start method, fork on Linux: a pool of two
+        # spawned workers re-imports the package and takes about 0.05 s to
+        # start, against 0.006 s forked, more than the whole size-8 search.
+        # chunksize=1 keeps a size's heavy tasks apart.
+        with Pool(workers) as pool:
+            results = iter(pool.map(_enumeration_worker, tasks, chunksize=1))
+    else:
+        results = map(_enumeration_worker, tasks)
+    out = []
+    for n, size_tasks in zip(sizes, per_size):
+        classes = sorted(c for part in islice(results, len(size_tasks)) for c in part)
+        if len({c[0] for c in classes}) != len(classes):
+            raise AssertionError("search emitted the same labeled table twice")
+        out.append((n, classes))
+    return out
 
 
 def enumerate_all(n, max_size=None, parallel=1):
@@ -628,8 +629,7 @@ def survey_tsv(rows):
 def survey(max_n, max_size=None, parallel=1):
     """One row per size 2..max_n aggregating the structure-theorem flags."""
     _check_sizes(max_n, max_size)
-    with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
-        return [survey_row(n, classes) for n, classes in sizes]
+    return [survey_row(*size) for size in _enumerate_sizes(range(2, max_n + 1), parallel)]
 
 
 def write_enumeration(out_dir, max_n, max_size=None, parallel=1):
@@ -637,14 +637,13 @@ def write_enumeration(out_dir, max_n, max_size=None, parallel=1):
     _check_sizes(max_n, max_size)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    with closing(_enumerate_sizes(range(2, max_n + 1), parallel)) as sizes:
-        for n, classes in sizes:
-            size_dir = os.path.join(out_dir, f"size_{n}")
-            os.makedirs(size_dir, exist_ok=True)
-            for idx, (key, *_) in enumerate(classes):
-                with open(os.path.join(size_dir, f"{idx:04d}.json"), "wb") as fh:
-                    fh.write(key)
-            rows.append(survey_row(n, classes))
+    for n, classes in _enumerate_sizes(range(2, max_n + 1), parallel):
+        size_dir = os.path.join(out_dir, f"size_{n}")
+        os.makedirs(size_dir, exist_ok=True)
+        for idx, (key, *_) in enumerate(classes):
+            with open(os.path.join(size_dir, f"{idx:04d}.json"), "wb") as fh:
+                fh.write(key)
+        rows.append(survey_row(n, classes))
     with open(os.path.join(out_dir, "survey.tsv"), "w", encoding="ascii") as fh:
         fh.write(survey_tsv(rows))
     return rows

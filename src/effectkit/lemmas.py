@@ -70,7 +70,7 @@ def _lowest(m):
 
 def check_L14(e):
     """Non-sharpness of x is equivalent to x lying in some [b, b'] with b != 0."""
-    down, up, _, _ = e._bounds
+    down, up, _ = e._bounds
     covered = 0
     for b in range(1, e.size):
         covered |= up[b] & down[e.ortho[b]]
@@ -170,7 +170,7 @@ def check_T36(e):
 
 def check_C1(e):
     """Distinct atom intervals are disjoint and elementwise incomparable."""
-    down, up, _, _ = e._bounds
+    down, up, _ = e._bounds
     intervals = {a: up[a] & down[e.ortho[a]] for a in e.atoms}
     for a in e.atoms:
         members = e.interval(a, e.ortho[a])

@@ -191,7 +191,7 @@ def test_spec_strings():
 @pytest.mark.parametrize(
     "text",
     ["chain:", "chain:x", "chain:0", "hsum:", "hsum:2,,3", "prod:chain:2",
-     "prod:hsum:2,3,chain:2", "diamond:4", "ring:3",
+     "prod:hsum:2,3,chain:2", "diamond:4", "diamond:", "ring:3",
      pytest.param("chain:x" * 20000, id="140000-char-malformed")],
 )
 def test_bad_spec_strings(text):
