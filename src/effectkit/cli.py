@@ -163,9 +163,9 @@ def _parser():
                          f"(default {DEFAULT_MAX_SIZE})")
     en.add_argument("--parallel", dest="parallel", type=int, default=1,
                     help="worker processes: one pool for the whole command, "
-                         "fed the first-cell (2, 2) values of every size and "
-                         "merged in size order; output is identical for every "
-                         "value (default 1, no pool)")
+                         "fed the root branches of every size (two from size "
+                         "4 up) and merged in size order; output is identical "
+                         "for every value (default 1, no pool)")
     add("generate", "constructor spec", fmt_choices=None)
     add("hasse", "table file or constructor spec", fmt_choices=("dot",))
     return p

@@ -3,10 +3,11 @@
 Search: the unit is pinned at index 1 (harmless, every algebra has a
 relabeling with that shape), the zero row and the unit row are forced by
 the axioms, and the remaining upper-triangle cells are assigned depth
-first in row-major order.  Propagation on every assignment: symmetric
-storage gives commutativity, per-row value masks give cancellation and
-orthosupplement uniqueness, rows are forced to keep an orthosupplement
-reachable, and associativity (with definedness transfer) is re-checked
+first in row-major order, below one of the root branches that
+_row_2_branches lists, each a start of row 2.  Propagation on every
+assignment: symmetric storage gives commutativity, per-row value masks
+give cancellation and orthosupplement uniqueness, rows are forced to
+keep an orthosupplement reachable, and associativity (with definedness transfer) is re-checked
 incrementally over the triples a newly decided cell can influence,
 forcing further cells where the triple determines them.  The row masks
 also locate those triples: a row holds a value in at most one cell, and
@@ -37,10 +38,12 @@ the cyclic garbage collector; a tier-1 test,
 test_search_leaves_no_cyclic_garbage, keeps it so.
 
 Parallel runs: one pool of worker processes serves a whole command, every
-size of it.  Its tasks are the searches below each value of the first
-cell (2, 2) (undefined, 1, 3, ..., n - 1) of every size n >= 3, and the
-whole search of size 2.  Each size's classes are merged and sorted by key,
-so the output is identical for every --parallel.  A serial run maps the
+size of it.  Its tasks are the root branches of every size, as
+_row_2_branches lists them: for n >= 4 row 2 set whole to (U, ..., U, 1),
+and cell (2, 2) set to 1 alone (the lemma of _enumerate_tables says no
+other root holds a least table); for size 3 the one branch (2, 2) = 1;
+size 2 whole.  Each size's classes are merged and sorted by key, so the
+output is identical for every --parallel.  A serial run maps the
 search over the same tasks in this process, with no pool.
 
 Survey: the task that finds a class classifies it, in the same process:
@@ -387,11 +390,50 @@ def _probe(S, n, rel, stop, append, members, values):
     return None
 
 
-def _enumerate_tables(n, first_values=None, leaf_filter=True):
+def _row_2_branches(n):
+    """The roots of size n's search, one task each, every one a prefix of
+    row 2 (cells (2, 2), (2, 3), ...) that the search sets before it
+    starts: by the lemma of _enumerate_tables, (U, ..., U, 1) whole and
+    (1) at cell (2, 2) alone for n >= 4, (1) for n = 3, and the empty
+    prefix for n = 2, which has no row 2."""
+    if n == 2:
+        return [()]
+    if n == 3:
+        return [(1,)]
+    return [(UNDEF,) * (n - 3) + (1,), (1,)]
+
+
+def _enumerate_tables(n, row_2=None, leaf_filter=True):
     """All valid tables with unit 1: one canonical labeling per class when
-    leaf_filter is on, every labeled table otherwise.  The state is the
-    table S and the row masks used, restored by copy after each branch,
-    and the live states of the prefix test, a new list per node."""
+    leaf_filter is on, every labeled table otherwise.  row_2 is one branch
+    of _row_2_branches, or None for all of them; with leaf_filter off and
+    row_2 None the search starts from the empty prefix and sets nothing.
+    The state is the table S and the row masks used, restored by copy
+    after each branch, and the live states of the prefix test, a new list
+    per node.
+
+    Lemma (least row 2).  Let n >= 4.  Row 2 of the least relabelling,
+    cells (2, 2) ... (2, n - 1) compared as U = -1 < 1 < interior, is
+    (U, ..., U, 1) or (1, U, ..., U), and the second occurs only for the
+    horizontal sum of n - 2 copies of chain(2).  For n = 3 row 2 is (1).
+    Proof.  Every interior row holds 1 exactly once, at its
+    orthosupplement, so (U, ..., U, 1) is the least row that any row 2
+    can be.  If some coatom c has c + c undefined: c' is an atom, so
+    c + y is defined only for y in {0, c'}, and c' != c; relabel c to 2
+    and c' to n - 1, and row 2 is (U, ..., U, 1).  Otherwise every coatom
+    c has c + c defined, so c <= c', and since c' is an atom, c = c' and
+    c + c = 1.  Every interior x lies below a coatom, which is an atom, so
+    x is that coatom: each interior x is an atom with x' = x.  For
+    distinct interior x and y, x + y is undefined, as x <= y' = y would
+    force x = y.  So row 2 is (1, U, ..., U).
+
+    Read's orderly method allows any cut that keeps each class's least
+    table, so the search of a whole size needs only the two branches:
+    row 2 set whole to (U, ..., U, 1), and cell (2, 2) set to 1 alone.
+    The first cell values 3 ... n - 1, and every other row 2 with (2, 2)
+    undefined, hold no least table.  The 1-branch leaves the rest of its
+    row, (U, ..., U), to the search: setting it halves size 11's search
+    but makes size 12's 1-branch about three times slower."""
     one = 1
     S = [UNASSIGNED] * (n * n)
     used = [1 << x for x in range(n)]  # x + 0 = x puts x in row x
@@ -501,11 +543,8 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
             return
         pos = cells[idx]
         i, j = divmod(pos, n)
-        if idx == 0 and first_values is not None:
-            domain = first_values
-        else:
-            taken = used[i] | used[j]
-            domain = (UNDEF, *(k for k in range(1, n) if not (taken >> k) & 1))
+        taken = used[i] | used[j]
+        domain = (UNDEF, *(k for k in range(1, n) if not (taken >> k) & 1))
         saved = S[:], used[:]
         for v in domain:
             queue.clear()
@@ -513,8 +552,28 @@ def _enumerate_tables(n, first_values=None, leaf_filter=True):
                 dfs(idx + 1, states)
             S[:], used[:] = saved
 
+    def start(prefix):
+        # set row 2's prefix; a cell that set_cell forces on the way, the
+        # 1 that ends (U, ..., U, 1), must agree with it
+        queue.clear()
+        for j, v in enumerate(prefix, 2):
+            if S[2 * n + j] == UNASSIGNED:
+                if not set_cell(2, j, v):
+                    return False
+            elif S[2 * n + j] != v:
+                return False
+        return propagate()
+
+    if row_2 is not None:
+        branches = [row_2]
+    else:
+        branches = _row_2_branches(n) if leaf_filter else [()]
+    saved = S[:], used[:]
     try:
-        dfs(0, _root_states(n))
+        for prefix in branches:
+            if start(prefix):
+                dfs(0, _root_states(n))
+            S[:], used[:] = saved
     finally:
         # set_cell and dfs call themselves through their closure cells, a
         # reference cycle; emptying the cells lets the search's state go
@@ -545,18 +604,11 @@ def _check_sizes(max_n, max_size):
         raise SizeTooLarge(f"size {max_n} above configured cap {cap}")
 
 
-def _first_cell_tasks(n):
-    """Size n's search split on the values of its first cell (2, 2)."""
-    if n == 2:
-        return [(n, None)]
-    return [(n, (v,)) for v in (UNDEF, 1, *range(3, n))]
-
-
 def _enumerate_sizes(sizes, parallel):
     """[(n, classes)] for each n of sizes, in order: the workers'
     (key, homogeneous, trivial_sharps, verified) tuples, sorted by key.
 
-    The tasks are the first-cell searches of every size.  With more than
+    The tasks are the root branches of every size.  With more than
     one worker, one pool of min(parallel, tasks of the largest size)
     processes maps them, one task at a time; otherwise they run in this
     process.  Pool.map returns, or raises a task's error, only once every
@@ -568,7 +620,7 @@ def _enumerate_sizes(sizes, parallel):
     that: the golden counts, the scan oracle's check that every emitted
     table is its own least relabeling, the sha256 pins of the keys and the
     filter-off differential test."""
-    per_size = [_first_cell_tasks(n) for n in sizes]
+    per_size = [[(n, prefix) for prefix in _row_2_branches(n)] for n in sizes]
     workers = min(parallel, max(map(len, per_size)))
     tasks = [task for size_tasks in per_size for task in size_tasks]
     if workers > 1:

@@ -200,7 +200,7 @@ def automorphism_count(t):
 def counted_search(monkeypatch, n):
     """Size n's classes, the worker's (key, homogeneous, trivial_sharps,
     verified) tuples sorted by key, from one search of the whole size, its
-    first cell not split, and the number of prefix tests made."""
+    root branches in one task, and the number of prefix tests made."""
     real = en._resume_relabelings
     calls = 0
 

@@ -48,13 +48,13 @@ KEYS_SHA256_AT_10 = "267e597e9ce5fe350e4570e53b365fc46ef21d7ba393db2654080391edc
 KEYS_SHA256_AT_11 = "02fa311fd760be367068fe41e6174f12ead4dc56eea18be9840bad7b68a2d04f"
 # calls of the prefix test in a search of a whole size, one per node
 # reached: the search's cuts, which a change to propagation or pruning moves
-PREFIX_TESTS = {2: 1, 3: 2, 4: 7, 5: 25, 6: 102, 7: 268, 8: 839}
-PREFIX_TESTS_AT_9 = 2105
-PREFIX_TESTS_AT_10 = 6118
-PREFIX_TESTS_AT_11 = 16211
+PREFIX_TESTS = {2: 1, 3: 1, 4: 5, 5: 17, 6: 73, 7: 202, 8: 699}
+PREFIX_TESTS_AT_9 = 1849
+PREFIX_TESTS_AT_10 = 5668
+PREFIX_TESTS_AT_11 = 15467
 # live states handed to the prefix test over a whole search, one per set of
 # relabelings that tie so far; one state per relabeling gave 3,435 and 35,602
-STATES_HANDED = {7: 1616, 8: 8144}
+STATES_HANDED = {7: 1306, 8: 7332}
 # horizontal sums of chains, by chain lengths, whose ordered partitions keep
 # the largest cells: n - 2 two-element chains, repeated chains, and the one
 # chain of length n - 1
@@ -519,6 +519,42 @@ def test_leaf_filter_differential():
         assert sorted(keys) == enumerate_all(n)
 
 
+def _sum_of_two_element_chains_key(n):
+    return scan_canonical(ek.horizontal_sum([ek.chain(2)] * (n - 2)).table)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_least_row_2_lemma_on_every_labeled_table(n):
+    # the lemma the root branches rest on, checked without them: the
+    # unfiltered search sets no row 2, and the scan oracle keys each table
+    lowest = (UNDEF,) * (n - 3) + (1,)
+    ones = (1,) + (UNDEF,) * (n - 3)
+    rows_2 = Counter()
+    for t in _enumerate_tables(n, leaf_filter=False):
+        key = scan_canonical(t)
+        row_2 = tuple(ek.parse(key).sum[2][2:])
+        assert row_2 in (lowest, ones)
+        if row_2 == ones:
+            assert key == _sum_of_two_element_chains_key(n)
+        rows_2[row_2] += 1
+    assert rows_2[ones] > 0
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_the_1_branch_emits_only_the_sum_of_two_element_chains(n):
+    tables = _enumerate_tables(n, (1,))
+    assert [ek.serialize(t) for t in tables] == [_sum_of_two_element_chains_key(n)]
+
+
+def test_root_branches_are_the_tasks():
+    # size 2 is searched whole, size 3 has the one branch (2, 2) = 1, and
+    # every larger size the two branches of the least-row-2 lemma
+    assert en._row_2_branches(2) == [()]
+    assert en._row_2_branches(3) == [(1,)]
+    for n in range(4, 13):
+        assert en._row_2_branches(n) == [(UNDEF,) * (n - 3) + (1,), (1,)]
+
+
 def test_duplicate_guard_survives_optimize():
     # under -O an assert would vanish; the guard must still fire when two
     # emitted tables share a key (forced here by a constant key in place
@@ -595,7 +631,7 @@ def test_consumer_error_terminates_the_pool(monkeypatch):
 
 def test_worker_error_terminates_the_pool(monkeypatch):
     # forked workers inherit the patched search
-    def failing(n, first_values=None, leaf_filter=True):
+    def failing(n, row_2=None, leaf_filter=True):
         raise RuntimeError("search failed")
 
     monkeypatch.setattr(en, "_enumerate_tables", failing)
@@ -612,7 +648,7 @@ def test_repeated_worker_errors_never_hang_the_pool():
     code = (
         "import multiprocessing\n"
         "import effectkit.enumeration as en\n"
-        "def failing(n, first_values=None, leaf_filter=True):\n"
+        "def failing(n, row_2=None, leaf_filter=True):\n"
         "    raise RuntimeError('search failed')\n"
         "en._enumerate_tables = failing\n"
         "for _ in range(100):\n"
@@ -669,12 +705,15 @@ def test_workers_are_capped_by_the_largest_size(monkeypatch):
 
     monkeypatch.setattr(en, "Pool", RecordingPool)
     assert main(["enumerate", "--max-size", "5", "--parallel", "1000000"]) == 0
-    assert requested == [4]
+    assert requested == [2]
     # size 2 alone is one task: no pool at all
     assert main(["enumerate", "--max-size", "2", "--parallel", "1000000"]) == 0
-    assert requested == [4]
+    assert requested == [2]
+    # so is size 3, the one branch (2, 2) = 1
+    assert main(["enumerate", "--max-size", "3", "--parallel", "2"]) == 0
+    assert requested == [2]
     assert survey(5, parallel=3) == survey(5)
-    assert requested == [4, 3]
+    assert requested == [2, 2]
     assert chunksizes == [1, 1]
     assert not multiprocessing.active_children()
 
