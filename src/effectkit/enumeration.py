@@ -1,10 +1,13 @@
 """Exhaustive isomorph-free generation of small effect algebras.
 
-Search: the unit is pinned at index 1 (harmless, every algebra has a
-relabeling with that shape), the zero row and the unit row are forced by
-the axioms, and the remaining upper-triangle cells are assigned depth
-first in row-major order, below one of the root branches that
-_row_2_branches lists, each a start of row 2.  Propagation on every
+Search: each size's classes are one table built in closed form and one
+search.  The closed form is the horizontal sum of n - 2 two-element
+chains, unit at 1; for n >= 4 the search runs below row 2 = (U, ..., U, 1),
+and sizes 2 and 3 need none (the lemma of _enumerate_tables says why no
+other table is left).  The unit is pinned at index 1 (harmless, every
+algebra has a relabeling with that shape), the zero row and the unit row
+are forced by the axioms, and the remaining upper-triangle cells are
+assigned depth first in row-major order.  Propagation on every
 assignment: symmetric storage gives commutativity, per-row value masks
 give cancellation and orthosupplement uniqueness, rows are forced to
 keep an orthosupplement reachable, and associativity (with definedness transfer) is re-checked
@@ -38,13 +41,10 @@ the cyclic garbage collector; a tier-1 test,
 test_search_leaves_no_cyclic_garbage, keeps it so.
 
 Parallel runs: one pool of worker processes serves a whole command, every
-size of it.  Its tasks are the root branches of every size, as
-_row_2_branches lists them: for n >= 4 row 2 set whole to (U, ..., U, 1),
-and cell (2, 2) set to 1 alone (the lemma of _enumerate_tables says no
-other root holds a least table); for size 3 the one branch (2, 2) = 1;
-size 2 whole.  Each size's classes are merged and sorted by key, so the
-output is identical for every --parallel.  A serial run maps the
-search over the same tasks in this process, with no pool.
+size of it.  Its tasks are the sizes, one each.  Each size's classes are
+sorted by key, so the output is identical for every --parallel.  A
+serial run maps the worker over the same sizes in this process, with no
+pool.
 
 Survey: the task that finds a class classifies it, in the same process:
 _enumeration_worker validates each emitted table once and returns its key
@@ -59,12 +59,12 @@ flags, so no key is parsed back.
 
 import os
 from collections import namedtuple
-from itertools import islice
 from multiprocessing import Pool
 
 from .core import UNDEF, EffectAlgebraTable, validate
-from .corpus import serialize
+from .corpus import chain, horizontal_sum, serialize
 from .lemmas import check_C2, check_C3, has_trivial_sharps, is_homogeneous
+from .structure import relabel
 
 DEFAULT_MAX_SIZE = 10
 UNASSIGNED = -2  # a cell the search has not decided yet
@@ -390,24 +390,18 @@ def _probe(S, n, rel, stop, append, members, values):
     return None
 
 
-def _row_2_branches(n):
-    """The roots of size n's search, one task each, every one a prefix of
-    row 2 (cells (2, 2), (2, 3), ...) that the search sets before it
-    starts: by the lemma of _enumerate_tables, (U, ..., U, 1) whole and
-    (1) at cell (2, 2) alone for n >= 4, (1) for n = 3, and the empty
-    prefix for n = 2, which has no row 2."""
-    if n == 2:
-        return [()]
-    if n == 3:
-        return [(1,)]
-    return [(UNDEF,) * (n - 3) + (1,), (1,)]
+def _sum_of_two_element_chains(n):
+    """The least table of the horizontal sum of n - 2 copies of chain(2),
+    unit at 1: for n = 2 the two-element algebra, for n = 3 chain(2)."""
+    parts = [chain(1)] + [chain(2)] * (n - 2)
+    return relabel(horizontal_sum(parts).table, [0, *range(2, n), 1])
 
 
-def _enumerate_tables(n, row_2=None, leaf_filter=True):
-    """All valid tables with unit 1: one canonical labeling per class when
-    leaf_filter is on, every labeled table otherwise.  row_2 is one branch
-    of _row_2_branches, or None for all of them; with leaf_filter off and
-    row_2 None the search starts from the empty prefix and sets nothing.
+def _enumerate_tables(n, row_2=(), leaf_filter=True):
+    """The valid tables with unit 1 whose row 2 starts with row_2 (cells
+    (2, 2), (2, 3), ...): one canonical labeling per class when
+    leaf_filter is on, every labeled table otherwise.  With row_2 empty
+    the search sets nothing before it starts and covers the whole size.
     The state is the table S and the row masks used, restored by copy
     after each branch, and the live states of the prefix test, a new list
     per node.
@@ -425,15 +419,16 @@ def _enumerate_tables(n, row_2=None, leaf_filter=True):
     c + c = 1.  Every interior x lies below a coatom, which is an atom, so
     x is that coatom: each interior x is an atom with x' = x.  For
     distinct interior x and y, x + y is undefined, as x <= y' = y would
-    force x = y.  So row 2 is (1, U, ..., U).
+    force x = y.  So row 2 is (1, U, ..., U).  That sum has x + x = 1 and
+    x + y undefined for all distinct interior x and y, so every
+    relabelling that fixes 0 and 1 maps its table onto itself, and that
+    one table is its least table.
 
-    Read's orderly method allows any cut that keeps each class's least
-    table, so the search of a whole size needs only the two branches:
-    row 2 set whole to (U, ..., U, 1), and cell (2, 2) set to 1 alone.
-    The first cell values 3 ... n - 1, and every other row 2 with (2, 2)
-    undefined, hold no least table.  The 1-branch leaves the rest of its
-    row, (U, ..., U), to the search: setting it halves size 11's search
-    but makes size 12's 1-branch about three times slower."""
+    Read's orderly method needs only each class's least table, emitted
+    once.  So the least tables of size n are the one that
+    _sum_of_two_element_chains builds and, for n >= 4, those that this
+    search finds below row 2 = (U, ..., U, 1); sizes 2 and 3 have the
+    closed form alone."""
     one = 1
     S = [UNASSIGNED] * (n * n)
     used = [1 << x for x in range(n)]  # x + 0 = x puts x in row x
@@ -552,11 +547,10 @@ def _enumerate_tables(n, row_2=None, leaf_filter=True):
                 dfs(idx + 1, states)
             S[:], used[:] = saved
 
-    def start(prefix):
+    def start():
         # set row 2's prefix; a cell that set_cell forces on the way, the
         # 1 that ends (U, ..., U, 1), must agree with it
-        queue.clear()
-        for j, v in enumerate(prefix, 2):
+        for j, v in enumerate(row_2, 2):
             if S[2 * n + j] == UNASSIGNED:
                 if not set_cell(2, j, v):
                     return False
@@ -564,16 +558,9 @@ def _enumerate_tables(n, row_2=None, leaf_filter=True):
                 return False
         return propagate()
 
-    if row_2 is not None:
-        branches = [row_2]
-    else:
-        branches = _row_2_branches(n) if leaf_filter else [()]
-    saved = S[:], used[:]
     try:
-        for prefix in branches:
-            if start(prefix):
-                dfs(0, _root_states(n))
-            S[:], used[:] = saved
+        if start():
+            dfs(0, _root_states(n))
     finally:
         # set_cell and dfs call themselves through their closure cells, a
         # reference cycle; emptying the cells lets the search's state go
@@ -582,12 +569,17 @@ def _enumerate_tables(n, row_2=None, leaf_filter=True):
     return results
 
 
-def _enumeration_worker(args):
-    """The classes of one task, each as (key, homogeneous, trivial_sharps,
+def _enumeration_worker(n):
+    """The classes of size n, each as (key, homogeneous, trivial_sharps,
     verified): the table's serialization and the flags survey_row adds up,
-    the table validated once."""
+    the table validated once.  The tables are the closed form and, from
+    size 4, the search below row 2 = (U, ..., U, 1), as the lemma of
+    _enumerate_tables says."""
+    tables = [_sum_of_two_element_chains(n)]
+    if n >= 4:
+        tables += _enumerate_tables(n, (UNDEF,) * (n - 3) + (1,))
     classes = []
-    for t in _enumerate_tables(*args):
+    for t in tables:
         e = validate(t)
         h, s = is_homogeneous(e), has_trivial_sharps(e)
         verified = h and s and check_C2(e) is None and check_C3(e) is None
@@ -608,46 +600,45 @@ def _enumerate_sizes(sizes, parallel):
     """[(n, classes)] for each n of sizes, in order: the workers'
     (key, homogeneous, trivial_sharps, verified) tuples, sorted by key.
 
-    The tasks are the root branches of every size.  With more than
-    one worker, one pool of min(parallel, tasks of the largest size)
-    processes maps them, one task at a time; otherwise they run in this
-    process.  Pool.map returns, or raises a task's error, only once every
-    task is done, so leaving the pool stops no worker in mid-result.
+    The tasks are the sizes.  With more than one worker, one pool of
+    min(parallel, sizes, CPUs) processes maps them, one task at a time;
+    otherwise they run in this process.  The CPUs are the machine's, not
+    the calling thread's affinity mask, which a caller may have pinned to
+    one CPU while its workers get every CPU back.  Pool.map returns, or
+    raises a task's error, only once every task is done, so leaving the
+    pool stops no worker in mid-result.
 
     The duplicate guard catches the same labeled table emitted twice, for
-    example by overlapping tasks.  It cannot catch a faulty minimality
-    test, whose extra leaves are distinct labeled tables.  The tests catch
-    that: the golden counts, the scan oracle's check that every emitted
-    table is its own least relabeling, the sha256 pins of the keys and the
-    filter-off differential test."""
-    per_size = [[(n, prefix) for prefix in _row_2_branches(n)] for n in sizes]
-    workers = min(parallel, max(map(len, per_size)))
-    tasks = [task for size_tasks in per_size for task in size_tasks]
+    example by the closed form and the search both.  It cannot catch a
+    faulty minimality test, whose extra leaves are distinct labeled
+    tables.  The tests catch that: the golden counts, the scan oracle's
+    check that every emitted table is its own least relabeling, the sha256
+    pins of the keys and the filter-off differential test."""
+    workers = min(parallel, len(sizes), os.cpu_count() or 1)
     if workers > 1:
         # The platform's default start method, fork on Linux: a pool of two
         # spawned workers re-imports the package and takes about 0.05 s to
         # start, against 0.006 s forked, more than the whole size-8 search.
-        # chunksize=1 keeps a size's heavy tasks apart.
+        # chunksize=1 keeps the heavy largest sizes apart.
         with Pool(workers) as pool:
-            results = iter(pool.map(_enumeration_worker, tasks, chunksize=1))
+            results = pool.map(_enumeration_worker, sizes, chunksize=1)
     else:
-        results = map(_enumeration_worker, tasks)
+        results = map(_enumeration_worker, sizes)
     out = []
-    for n, size_tasks in zip(sizes, per_size):
-        classes = sorted(c for part in islice(results, len(size_tasks)) for c in part)
+    for n, classes in zip(sizes, results):
+        classes.sort()
         if len({c[0] for c in classes}) != len(classes):
             raise AssertionError("search emitted the same labeled table twice")
         out.append((n, classes))
     return out
 
 
-def enumerate_all(n, max_size=None, parallel=1):
+def enumerate_all(n, max_size=None):
     """Canonical keys of every isomorphism class of size-n effect algebras,
-    sorted; deterministic under any parallel.  Each key is the serialization
-    of an emitted table, the least relabeling of its class, as the tests'
-    scan oracle pins."""
+    sorted.  Each key is the serialization of an emitted table, the least
+    relabeling of its class, as the tests' scan oracle pins."""
     _check_sizes(n, max_size)
-    ((_, classes),) = _enumerate_sizes([n], parallel)
+    ((_, classes),) = _enumerate_sizes([n], 1)
     return [c[0] for c in classes]
 
 

@@ -199,8 +199,9 @@ def automorphism_count(t):
 
 def counted_search(monkeypatch, n):
     """Size n's classes, the worker's (key, homogeneous, trivial_sharps,
-    verified) tuples sorted by key, from one search of the whole size, its
-    root branches in one task, and the number of prefix tests made."""
+    verified) tuples sorted by key, from the worker of the whole size, the
+    closed form and the search below row 2 = (U, ..., U, 1), and the number
+    of prefix tests made."""
     real = en._resume_relabelings
     calls = 0
 
@@ -210,7 +211,7 @@ def counted_search(monkeypatch, n):
         return real(S, m, states)
 
     monkeypatch.setattr(en, "_resume_relabelings", counting)
-    return sorted(en._enumeration_worker((n, None))), calls
+    return sorted(en._enumeration_worker(n)), calls
 
 
 @pytest.fixture(scope="session")

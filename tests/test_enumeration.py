@@ -43,18 +43,24 @@ GOLDEN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40}
 # sha256 of the concatenated keys of sizes 2..8 and 2..9
 KEYS_SHA256_TO_8 = "24ae786e1883e3ea88f250f5e6bfd575c37d57f2f82bde18efa4da28e7e9f712"
 KEYS_SHA256_TO_9 = "1bdb445ee3926590f744d2eb627f21758670af8dbb027dc4d3c57849693d354d"
-# sha256 of the concatenated keys of size 10 alone, and of size 11 alone
+# sha256 of the concatenated keys of size 10 alone, of size 11 alone and
+# of size 12 alone
 KEYS_SHA256_AT_10 = "267e597e9ce5fe350e4570e53b365fc46ef21d7ba393db2654080391edcbdee2"
 KEYS_SHA256_AT_11 = "02fa311fd760be367068fe41e6174f12ead4dc56eea18be9840bad7b68a2d04f"
-# calls of the prefix test in a search of a whole size, one per node
-# reached: the search's cuts, which a change to propagation or pruning moves
-PREFIX_TESTS = {2: 1, 3: 1, 4: 5, 5: 17, 6: 73, 7: 202, 8: 699}
-PREFIX_TESTS_AT_9 = 1849
-PREFIX_TESTS_AT_10 = 5668
-PREFIX_TESTS_AT_11 = 15467
-# live states handed to the prefix test over a whole search, one per set of
-# relabelings that tie so far; one state per relabeling gave 3,435 and 35,602
-STATES_HANDED = {7: 1306, 8: 7332}
+KEYS_SHA256_AT_12 = "3242af56676360a98eddb471af7a0d9d7b543c283f3c1b0e10726e572464813f"
+# calls of the prefix test in the worker of a whole size, one per node
+# reached: the search's cuts, which a change to propagation or pruning
+# moves.  Sizes 2 and 3 are the closed form alone
+PREFIX_TESTS = {2: 0, 3: 0, 4: 3, 5: 7, 6: 46, 7: 137, 8: 562}
+PREFIX_TESTS_AT_9 = 1575
+PREFIX_TESTS_AT_10 = 5154
+PREFIX_TESTS_AT_11 = 14541
+PREFIX_TESTS_AT_12 = 48044
+# the same calls, and the live states handed to them, one per set of
+# relabelings that tie so far, in the whole search from the empty prefix,
+# which also walks the ties of the sum of two-element chains
+WHOLE_SEARCH_PREFIX_TESTS = {7: 268, 8: 839}
+STATES_HANDED = {7: 1616, 8: 8144}
 # horizontal sums of chains, by chain lengths, whose ordered partitions keep
 # the largest cells: n - 2 two-element chains, repeated chains, and the one
 # chain of length n - 1
@@ -71,6 +77,23 @@ def fixture_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools the enumeration starts, each a real
+    pool.  The enumeration sees two CPUs, whatever the host has, so a pool
+    of two starts wherever one is asked for."""
+    started = []
+    real = en.Pool
+
+    def recording(processes):
+        started.append(processes)
+        return real(processes)
+
+    monkeypatch.setattr(en, "Pool", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return started
 
 
 def brute_force_classes(n):
@@ -143,7 +166,6 @@ def test_size_10_count_and_hypothesis_class(size_10_search):
     row = survey_row(10, classes)
     assert row.as_tsv() == "10\t172\t64\t81\t22\t22\t0"
     assert row.hypothesis_class == sum(1 for _ in partitions(8))
-    assert enumerate_all(10, parallel=2) == keys
 
 
 def test_size_11_count_and_hypothesis_class(monkeypatch):
@@ -157,9 +179,23 @@ def test_size_11_count_and_hypothesis_class(monkeypatch):
     assert row.hypothesis_class == sum(1 for _ in partitions(9))
 
 
-def test_size_11_parallel_matches_the_pin():
-    keys = enumerate_all(11, max_size=11, parallel=2)
-    assert _keys_sha256([keys]) == KEYS_SHA256_AT_11
+def test_size_11_parallel_matches_the_pin(pools):
+    keys = [[c[0] for c in classes] for _, classes in en._enumerate_sizes(range(2, 12), 2)]
+    assert pools == [2]
+    assert _keys_sha256(keys[:8]) == KEYS_SHA256_TO_9
+    assert _keys_sha256(keys[8:9]) == KEYS_SHA256_AT_10
+    assert _keys_sha256(keys[9:]) == KEYS_SHA256_AT_11
+
+
+def test_size_12_count_and_hypothesis_class(monkeypatch):
+    classes, prefix_tests = counted_search(monkeypatch, 12)
+    keys = [c[0] for c in classes]
+    assert prefix_tests == PREFIX_TESTS_AT_12
+    assert len(keys) == 950
+    assert _keys_sha256([keys]) == KEYS_SHA256_AT_12
+    row = survey_row(12, classes)
+    assert row.as_tsv() == "12\t950\t160\t384\t42\t42\t0"
+    assert row.hypothesis_class == sum(1 for _ in partitions(10))
 
 
 @pytest.mark.parametrize("n,count", sorted(UNFILTERED_COUNTS.items()))
@@ -221,7 +257,7 @@ def test_carried_states_equal_a_start_from_the_root(monkeypatch, n):
 
     monkeypatch.setattr(en, "_resume_relabelings", checked)
     assert len(_enumerate_tables(n)) == GOLDEN_COUNTS[n]
-    assert nodes == PREFIX_TESTS[n]
+    assert nodes == WHOLE_SEARCH_PREFIX_TESTS[n]
 
 
 @pytest.mark.parametrize("n,count", sorted(STATES_HANDED.items()))
@@ -520,13 +556,14 @@ def test_leaf_filter_differential():
 
 
 def _sum_of_two_element_chains_key(n):
-    return scan_canonical(ek.horizontal_sum([ek.chain(2)] * (n - 2)).table)
+    return scan_canonical(ek.horizontal_sum([ek.chain(1), *[ek.chain(2)] * (n - 2)]).table)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_least_row_2_lemma_on_every_labeled_table(n):
-    # the lemma the root branches rest on, checked without them: the
-    # unfiltered search sets no row 2, and the scan oracle keys each table
+    # the lemma the closed form and the search's row 2 rest on, checked
+    # without them: the unfiltered search sets no row 2, and the scan
+    # oracle keys each table
     lowest = (UNDEF,) * (n - 3) + (1,)
     ones = (1,) + (UNDEF,) * (n - 3)
     rows_2 = Counter()
@@ -540,19 +577,23 @@ def test_least_row_2_lemma_on_every_labeled_table(n):
     assert rows_2[ones] > 0
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_the_1_branch_emits_only_the_sum_of_two_element_chains(n):
-    tables = _enumerate_tables(n, (1,))
-    assert [ek.serialize(t) for t in tables] == [_sum_of_two_element_chains_key(n)]
+    # the closed form the worker emits in place of the search with
+    # (2, 2) = 1 is the scan oracle's key, and the one table that search
+    # finds; size 2 has no row 2
+    key = _sum_of_two_element_chains_key(n)
+    assert ek.serialize(en._sum_of_two_element_chains(n)) == key
+    if n > 2:
+        assert [ek.serialize(t) for t in _enumerate_tables(n, (1,))] == [key]
 
 
-def test_root_branches_are_the_tasks():
-    # size 2 is searched whole, size 3 has the one branch (2, 2) = 1, and
-    # every larger size the two branches of the least-row-2 lemma
-    assert en._row_2_branches(2) == [()]
-    assert en._row_2_branches(3) == [(1,)]
-    for n in range(4, 13):
-        assert en._row_2_branches(n) == [(UNDEF,) * (n - 3) + (1,), (1,)]
+@pytest.mark.parametrize("n", range(2, 10))
+def test_the_worker_finds_the_classes_of_the_whole_search(n):
+    # the whole filtered search from the empty prefix applies neither
+    # half of the least-row-2 lemma
+    whole = sorted(ek.serialize(t) for t in _enumerate_tables(n))
+    assert [c[0] for c in sorted(en._enumeration_worker(n))] == whole
 
 
 def test_duplicate_guard_survives_optimize():
@@ -572,11 +613,11 @@ def test_duplicate_guard_survives_optimize():
     assert "search emitted the same labeled table twice" in proc.stderr
 
 
-def test_parallel_matches_serial():
-    for n in (5, 6):
-        serial = enumerate_all(n, parallel=1)
-        assert enumerate_all(n, parallel=2) == serial
-        assert enumerate_all(n, parallel=4) == serial
+def test_parallel_matches_serial(pools):
+    serial = en._enumerate_sizes(range(2, 7), 1)
+    assert en._enumerate_sizes(range(2, 7), 2) == serial
+    assert en._enumerate_sizes(range(2, 7), 4) == serial
+    assert pools == [2, 2]
 
 
 def test_size_cap():
@@ -607,15 +648,16 @@ def test_size_cap_is_checked_before_any_work(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_shared_pool_matches_serial():
+def test_shared_pool_matches_serial(pools):
     serial = survey(8)
     assert survey(8, parallel=2) == serial
     assert not multiprocessing.active_children()
     assert survey(8, parallel=3) == serial
     assert not multiprocessing.active_children()
+    assert pools == [2, 2]
 
 
-def test_consumer_error_terminates_the_pool(monkeypatch):
+def test_consumer_error_terminates_the_pool(monkeypatch, pools):
     real = en.survey_row
 
     def failing(n, classes):
@@ -626,17 +668,19 @@ def test_consumer_error_terminates_the_pool(monkeypatch):
     monkeypatch.setattr(en, "survey_row", failing)
     with pytest.raises(RuntimeError, match="survey failed"):
         survey(10, parallel=2)
+    assert pools == [2]
     assert not multiprocessing.active_children()
 
 
-def test_worker_error_terminates_the_pool(monkeypatch):
-    # forked workers inherit the patched search
-    def failing(n, row_2=None, leaf_filter=True):
+def test_worker_error_terminates_the_pool(monkeypatch, pools):
+    # forked workers inherit the patched search, which sizes 4 to 6 run
+    def failing(n, row_2=(), leaf_filter=True):
         raise RuntimeError("search failed")
 
     monkeypatch.setattr(en, "_enumerate_tables", failing)
     with pytest.raises(RuntimeError, match="search failed"):
-        enumerate_all(6, parallel=2)
+        survey(6, parallel=2)
+    assert pools == [2]
     assert not multiprocessing.active_children()
 
 
@@ -644,20 +688,29 @@ def test_repeated_worker_errors_never_hang_the_pool():
     # a worker killed while it sends a result would leave the result
     # queue's lock held and the pool's shutdown waiting on it forever; the
     # loop runs in a process group of its own, so a hang can be killed
-    # whole without leaving a pool thread in this process
+    # whole without leaving a pool thread in this process.  Each round
+    # starts a pool of two, as the pools fixture checks in this process
     code = (
         "import multiprocessing\n"
         "import effectkit.enumeration as en\n"
-        "def failing(n, row_2=None, leaf_filter=True):\n"
+        "def failing(n, row_2=(), leaf_filter=True):\n"
         "    raise RuntimeError('search failed')\n"
         "en._enumerate_tables = failing\n"
+        "en.os.cpu_count = lambda: 2\n"
+        "pools = []\n"
+        "real = en.Pool\n"
+        "def recording(processes):\n"
+        "    pools.append(processes)\n"
+        "    return real(processes)\n"
+        "en.Pool = recording\n"
         "for _ in range(100):\n"
         "    try:\n"
-        "        en.enumerate_all(6, parallel=2)\n"
+        "        en.survey(6, parallel=2)\n"
         "    except RuntimeError:\n"
         "        pass\n"
         "    else:\n"
         "        raise AssertionError('the error was lost')\n"
+        "assert pools == [2] * 100\n"
         "assert not multiprocessing.active_children()\n"
         "print('ok')\n"
     )
@@ -675,19 +728,21 @@ def test_repeated_worker_errors_never_hang_the_pool():
     assert (proc.returncode, out) == (0, "ok\n"), err
 
 
-def test_duplicate_guard_with_a_pool(monkeypatch):
-    # every task's keys collide, as in test_duplicate_guard_survives_optimize
+def test_duplicate_guard_with_a_pool(monkeypatch, pools):
+    # every task's keys collide, as in test_duplicate_guard_survives_optimize;
+    # sizes 2 and 3 have one class each, size 4 three
     monkeypatch.setattr(en, "serialize", lambda t: b"same")
     with pytest.raises(AssertionError, match="same labeled table twice"):
-        enumerate_all(6, parallel=2)
+        survey(6, parallel=2)
+    assert pools == [2]
     assert not multiprocessing.active_children()
 
 
 def test_workers_are_capped_by_the_largest_size(monkeypatch):
-    requested, chunksizes = [], []
+    requested, tasks = [], []
 
     class RecordingPool:
-        """Records the worker count and chunk size asked for and runs the
+        """Records the worker count and the tasks asked for and runs the
         tasks in this process, so no worker is started."""
 
         def __init__(self, processes):
@@ -699,22 +754,27 @@ def test_workers_are_capped_by_the_largest_size(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
-            chunksizes.append(chunksize)
-            return list(map(fn, tasks))
+        def map(self, fn, sizes, chunksize):
+            assert chunksize == 1
+            tasks.append(list(sizes))
+            return list(map(fn, sizes))
 
     monkeypatch.setattr(en, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    # the tasks are the sizes, one each
     assert main(["enumerate", "--max-size", "5", "--parallel", "1000000"]) == 0
-    assert requested == [2]
+    assert requested == [4]
+    assert tasks == [[2, 3, 4, 5]]
     # size 2 alone is one task: no pool at all
     assert main(["enumerate", "--max-size", "2", "--parallel", "1000000"]) == 0
-    assert requested == [2]
-    # so is size 3, the one branch (2, 2) = 1
-    assert main(["enumerate", "--max-size", "3", "--parallel", "2"]) == 0
-    assert requested == [2]
-    assert survey(5, parallel=3) == survey(5)
-    assert requested == [2, 2]
-    assert chunksizes == [1, 1]
+    assert requested == [4]
+    # the CPUs bound the pool too, down to none
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert survey(5, parallel=4) == survey(5)
+    assert requested == [4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert survey(5, parallel=4) == survey(5)
+    assert requested == [4, 3]
     assert not multiprocessing.active_children()
 
 
@@ -730,7 +790,7 @@ def test_survey_rows():
     ]
 
 
-def test_each_class_is_validated_once_in_the_task_that_finds_it(monkeypatch):
+def test_each_class_is_validated_once_in_the_task_that_finds_it(monkeypatch, pools):
     # the survey classifies the tables the search emits, not their keys
     # parsed back; with a pool, the parent validates nothing
     assert not hasattr(en, "parse")
@@ -746,6 +806,7 @@ def test_each_class_is_validated_once_in_the_task_that_finds_it(monkeypatch):
     assert calls == {row.size: row.total for row in rows}
     calls.clear()
     assert survey(8, parallel=2) == rows
+    assert pools == [2]
     assert not calls
 
 
