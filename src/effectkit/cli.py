@@ -162,10 +162,10 @@ def _parser():
                     help=f"largest size (default 6), capped by {ENV_MAX_SIZE} "
                          f"(default {DEFAULT_MAX_SIZE})")
     en.add_argument("--parallel", dest="parallel", type=int, default=1,
-                    help="worker processes: one pool for the whole command, "
-                         "one task per size, at most one worker per size and "
-                         "per CPU; output is identical for every value "
-                         "(default 1, no pool)")
+                    help="worker processes, this one included: the sizes "
+                         "are dealt among them, at most one worker per size "
+                         "and per CPU, and the others are forked; output is "
+                         "identical for every value (default 1, no fork)")
     add("generate", "constructor spec", fmt_choices=None)
     add("hasse", "table file or constructor spec", fmt_choices=("dot",))
     return p

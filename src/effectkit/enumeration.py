@@ -40,11 +40,14 @@ node's live states as soon as no branch needs them, and nothing waits for
 the cyclic garbage collector; a tier-1 test,
 test_search_leaves_no_cyclic_garbage, keeps it so.
 
-Parallel runs: one pool of worker processes serves a whole command, every
-size of it.  Its tasks are the sizes, one each.  Each size's classes are
-sorted by key, so the output is identical for every --parallel.  A
-serial run maps the worker over the same sizes in this process, with no
-pool.
+Parallel runs: a fork-join in which the calling process is one of the
+workers.  The sizes, largest first, are dealt round-robin into one share
+per worker; forked children run every share but the first, which the
+caller runs itself, and each child sends its classes back in one pickle
+on a pipe of its own.  Each size's classes are sorted by key, so the
+output is identical for every --parallel.  A serial run, and every run
+where os.fork does not exist, is the same code with one share and no
+child.
 
 Survey: the task that finds a class classifies it, in the same process:
 _enumeration_worker validates each emitted table once and returns its key
@@ -58,8 +61,9 @@ flags, so no key is parsed back.
 """
 
 import os
+import pickle
+import signal
 from collections import namedtuple
-from multiprocessing import Pool
 
 from .core import UNDEF, EffectAlgebraTable, validate
 from .corpus import chain, horizontal_sum, serialize
@@ -596,17 +600,56 @@ def _check_sizes(max_n, max_size):
         raise SizeTooLarge(f"size {max_n} above configured cap {cap}")
 
 
+def _fork_worker(share):
+    """Fork a child that runs _enumeration_worker over the sizes of share
+    and writes one pickle of (ok, value) to a pipe of its own: (True, the
+    classes of each size) or (False, the exception it raised).  Returns
+    the child's pid and the pipe's read end.  The child exits with status
+    0 once the pickle is written, else 1, and always by os._exit: it
+    never returns into the caller's stack or flushes a buffer it
+    inherited."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                payload = True, [_enumeration_worker(n) for n in share]
+            except BaseException as exc:  # sent to the caller, which raises it
+                payload = False, exc
+            with open(w, "wb") as pipe:
+                pipe.write(pickle.dumps(payload))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
 def _enumerate_sizes(sizes, parallel):
     """[(n, classes)] for each n of sizes, in order: the workers'
     (key, homogeneous, trivial_sharps, verified) tuples, sorted by key.
 
-    The tasks are the sizes.  With more than one worker, one pool of
-    min(parallel, sizes, CPUs) processes maps them, one task at a time;
-    otherwise they run in this process.  The CPUs are the machine's, not
-    the calling thread's affinity mask, which a caller may have pinned to
-    one CPU while its workers get every CPU back.  Pool.map returns, or
-    raises a task's error, only once every task is done, so leaving the
-    pool stops no worker in mid-result.
+    The tasks are the sizes, dealt largest first, round-robin, into one
+    share per worker, min(parallel, sizes, CPUs) of them, or one where
+    os.fork does not exist.  This process forks a child for every share
+    but the first, runs the first itself, then reads each child's pipe
+    and reaps it.  It raises a child's exception, or an error naming the
+    exit status of a child that ended without writing its result.
+    Whatever ends the call, no child outlives it: the finally kills and
+    reaps those still running.  The CPUs are the machine's, not the
+    calling thread's affinity mask, which a caller may have pinned to one
+    CPU while its children get every CPU back.  Children are forked, not
+    spawned: a spawned worker re-imports the package, about 0.05 s,
+    more than the whole size-8 search.  A child has only the thread that
+    forked it, and the worker takes no lock that another thread of the
+    caller could hold.
 
     The duplicate guard catches the same labeled table emitted twice, for
     example by the closed form and the search both.  It cannot catch a
@@ -614,18 +657,38 @@ def _enumerate_sizes(sizes, parallel):
     tables.  The tests catch that: the golden counts, the scan oracle's
     check that every emitted table is its own least relabeling, the sha256
     pins of the keys and the filter-off differential test."""
-    workers = min(parallel, len(sizes), os.cpu_count() or 1)
-    if workers > 1:
-        # The platform's default start method, fork on Linux: a pool of two
-        # spawned workers re-imports the package and takes about 0.05 s to
-        # start, against 0.006 s forked, more than the whole size-8 search.
-        # chunksize=1 keeps the heavy largest sizes apart.
-        with Pool(workers) as pool:
-            results = pool.map(_enumeration_worker, sizes, chunksize=1)
-    else:
-        results = map(_enumeration_worker, sizes)
+    workers = 1
+    if hasattr(os, "fork"):
+        workers = max(1, min(parallel, len(sizes), os.cpu_count() or 1))
+    order = sorted(sizes, reverse=True)
+    shares = [order[k::workers] for k in range(workers)]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append((share, *_fork_worker(share)))
+        found = dict(zip(shares[0], map(_enumeration_worker, shares[0])))
+        while children:
+            share, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code:
+                raise RuntimeError(
+                    f"the worker of sizes {share} ended with exit code {code} "
+                    "and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            found.update(zip(share, value))
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     out = []
-    for n, classes in zip(sizes, results):
+    for n in sizes:
+        classes = found[n]
         classes.sort()
         if len({c[0] for c in classes}) != len(classes):
             raise AssertionError("search emitted the same labeled table twice")

@@ -58,6 +58,15 @@ def time_limit():
     signal.signal(signal.SIGALRM, previous)
 
 
+def no_child_left():
+    """True if this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def fixture_bytes(name):
     with open(os.path.join(FIXTURES, name), "rb") as fh:
         return fh.read()

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import resource
 import subprocess
@@ -13,7 +12,14 @@ from effectkit import cli
 from effectkit.cli import main
 from effectkit.lemmas import STATEMENTS, analyze
 
-from conftest import BAD_SUM_ROWS, FIXTURES, HOSTILE_DOCUMENTS, first_violation_alt, fixture_bytes
+from conftest import (
+    BAD_SUM_ROWS,
+    FIXTURES,
+    HOSTILE_DOCUMENTS,
+    first_violation_alt,
+    fixture_bytes,
+    no_child_left,
+)
 
 NON_HOMOG = os.path.join(FIXTURES, "smallest_non_homogeneous_trivial_sharp.json")
 
@@ -191,7 +197,7 @@ def test_enumerate_out_dir_and_parallel_determinism(tmp_path, capsys):
         argv = ["enumerate", "--max-size", "8", "--out", str(out)]
         assert main([*argv, "--parallel", parallel]) == 0
         runs.append((capsys.readouterr().out, _tree(out)))
-        assert not multiprocessing.active_children()
+        assert no_child_left()
     assert len(runs[0][1]) == 1 + sum((1, 1, 3, 4, 10, 14, 40))
     assert all(run == runs[0] for run in runs)
     stdout, tree = runs[0]
@@ -203,14 +209,14 @@ def test_enumerate_parallel_below_1_runs_serially(capsys, monkeypatch):
     assert main([*argv, "--parallel", "1"]) == 0
     serial = capsys.readouterr()
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a child was forked")
 
-    monkeypatch.setattr(ek.enumeration, "Pool", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     for parallel in ("0", "-1"):
         assert main([*argv, "--parallel", parallel]) == 0
         assert capsys.readouterr() == serial
-        assert not multiprocessing.active_children()
+        assert no_child_left()
 
 
 @pytest.mark.parametrize("size", ["1", "0", "-3"])

@@ -370,9 +370,11 @@ def test_imports_are_at_module_level_and_acyclic():
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # The records are namedtuples: dataclasses would pull in inspect, ast,
-    # dis and tokenize and double the start-up time of every command.  Only
-    # the modules the import adds count, so a site hook that loads them
-    # before the import does not decide the result.
+    # dis and tokenize and double the start-up time of every command.
+    # --parallel forks with os.fork: multiprocessing would pull in socket
+    # and selectors on every command too.  Only the modules the import
+    # adds count, so a site hook that loads them before the import does not
+    # decide the result.
     code = (
         "import sys; before = set(sys.modules); import effectkit.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -389,7 +391,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "effectkit.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "multiprocessing", "socket", "selectors"}
 
 
 def test_records_are_read_only():

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import importlib.util
-import multiprocessing
 import os
 import random
 import signal
@@ -35,6 +34,7 @@ from conftest import (
     automorphism_count,
     chain_multisets,
     counted_search,
+    no_child_left,
     partitions,
     scan_canonical,
 )
@@ -80,20 +80,42 @@ def fixture_script():
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The worker counts of the pools the enumeration starts, each a real
-    pool.  The enumeration sees two CPUs, whatever the host has, so a pool
-    of two starts wherever one is asked for."""
+def forks(monkeypatch):
+    """The pids of the children the enumeration forks, each a real fork.
+    The enumeration sees two CPUs, whatever the host has, so one child is
+    forked wherever two or more workers are asked for."""
     started = []
-    real = en.Pool
+    real = os.fork
 
-    def recording(processes):
-        started.append(processes)
-        return real(processes)
+    def recording():
+        pid = real()
+        started.append(pid)
+        return pid
 
-    monkeypatch.setattr(en, "Pool", recording)
+    monkeypatch.setattr(os, "fork", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return started
+
+
+def run_isolated(*args, timeout=30):
+    """Run a fresh interpreter with args in a session of its own and return
+    (returncode, stdout, stderr); a run that outlives timeout is killed
+    whole, with every process it forked, and fails the test.  Its stdout
+    is a block-buffered pipe, whatever PYTHONUNBUFFERED says here, so a
+    child that flushed a buffer it inherited would show."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ek.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=env, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"still running after {timeout} s")
+    return proc.returncode, out, err
 
 
 def brute_force_classes(n):
@@ -179,9 +201,9 @@ def test_size_11_count_and_hypothesis_class(monkeypatch):
     assert row.hypothesis_class == sum(1 for _ in partitions(9))
 
 
-def test_size_11_parallel_matches_the_pin(pools):
+def test_size_11_parallel_matches_the_pin(forks):
     keys = [[c[0] for c in classes] for _, classes in en._enumerate_sizes(range(2, 12), 2)]
-    assert pools == [2]
+    assert len(forks) == 1
     assert _keys_sha256(keys[:8]) == KEYS_SHA256_TO_9
     assert _keys_sha256(keys[8:9]) == KEYS_SHA256_AT_10
     assert _keys_sha256(keys[9:]) == KEYS_SHA256_AT_11
@@ -613,11 +635,11 @@ def test_duplicate_guard_survives_optimize():
     assert "search emitted the same labeled table twice" in proc.stderr
 
 
-def test_parallel_matches_serial(pools):
+def test_parallel_matches_serial(forks):
     serial = en._enumerate_sizes(range(2, 7), 1)
     assert en._enumerate_sizes(range(2, 7), 2) == serial
     assert en._enumerate_sizes(range(2, 7), 4) == serial
-    assert pools == [2, 2]
+    assert len(forks) == 2
 
 
 def test_size_cap():
@@ -630,12 +652,12 @@ def test_size_cap():
 
 
 def test_size_cap_is_checked_before_any_work(tmp_path, monkeypatch):
-    # neither the search nor a pool starts before the sizes are checked
+    # neither the search nor a fork starts before the sizes are checked
     def no_work(*args, **kwargs):
         raise AssertionError("enumerated before checking the cap")
 
     monkeypatch.setattr(en, "_enumerate_sizes", no_work)
-    monkeypatch.setattr(en, "Pool", no_work)
+    monkeypatch.setattr(os, "fork", no_work)
     out = tmp_path / "results"
     for max_n, max_size, error in ((5, 4, SizeTooLarge), (1, None, ValueError),
                                    (0, None, ValueError), (-3, None, ValueError)):
@@ -648,16 +670,29 @@ def test_size_cap_is_checked_before_any_work(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_shared_pool_matches_serial(pools):
+def test_shared_pool_matches_serial(forks):
     serial = survey(8)
     assert survey(8, parallel=2) == serial
-    assert not multiprocessing.active_children()
+    assert no_child_left()
     assert survey(8, parallel=3) == serial
-    assert not multiprocessing.active_children()
-    assert pools == [2, 2]
+    assert no_child_left()
+    assert len(forks) == 2
 
 
-def test_consumer_error_terminates_the_pool(monkeypatch, pools):
+def test_parallel_without_fork_runs_serially(monkeypatch, capsys):
+    # where os.fork does not exist, as on Windows, --parallel is the
+    # serial run: the same code with one share, and the same bytes
+    argv = ["enumerate", "--max-size", "8"]
+    assert main(argv) == 0
+    serial = capsys.readouterr()
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main([*argv, "--parallel", "2"]) == 0
+    assert capsys.readouterr() == serial
+    assert no_child_left()
+
+
+def test_consumer_error_terminates_the_pool(monkeypatch, forks):
     real = en.survey_row
 
     def failing(n, classes):
@@ -668,114 +703,199 @@ def test_consumer_error_terminates_the_pool(monkeypatch, pools):
     monkeypatch.setattr(en, "survey_row", failing)
     with pytest.raises(RuntimeError, match="survey failed"):
         survey(10, parallel=2)
-    assert pools == [2]
-    assert not multiprocessing.active_children()
+    assert len(forks) == 1
+    assert no_child_left()
 
 
-def test_worker_error_terminates_the_pool(monkeypatch, pools):
-    # forked workers inherit the patched search, which sizes 4 to 6 run
+def test_worker_error_terminates_the_pool(monkeypatch, forks):
+    # the forked child inherits the patched search, which sizes 4 to 6 run:
+    # sizes 6 and 4 in this process, 5 in the child.  An error in the
+    # child comes back through its pipe; one in this process ends the call
+    # before the child's result is read, and the child is killed
+    parent = os.getpid()
+
     def failing(n, row_2=(), leaf_filter=True):
-        raise RuntimeError("search failed")
+        if os.getpid() != parent or everywhere:
+            raise RuntimeError(f"search failed in {os.getpid()}")
+        return []
 
     monkeypatch.setattr(en, "_enumerate_tables", failing)
-    with pytest.raises(RuntimeError, match="search failed"):
-        survey(6, parallel=2)
-    assert pools == [2]
-    assert not multiprocessing.active_children()
+    for everywhere in (False, True):
+        with pytest.raises(RuntimeError, match="search failed") as caught:
+            survey(6, parallel=2)
+        assert (str(caught.value) == f"search failed in {parent}") == everywhere
+        assert no_child_left()
+    assert len(forks) == 2
 
 
 def test_repeated_worker_errors_never_hang_the_pool():
-    # a worker killed while it sends a result would leave the result
-    # queue's lock held and the pool's shutdown waiting on it forever; the
-    # loop runs in a process group of its own, so a hang can be killed
-    # whole without leaving a pool thread in this process.  Each round
-    # starts a pool of two, as the pools fixture checks in this process
+    # each round forks one child and fails, in the child alone or in both
+    # processes; the loop runs in a session of its own, so a hang can be
+    # killed whole with every child it forked
     code = (
-        "import multiprocessing\n"
+        "import os\n"
         "import effectkit.enumeration as en\n"
+        "parent = os.getpid()\n"
         "def failing(n, row_2=(), leaf_filter=True):\n"
-        "    raise RuntimeError('search failed')\n"
+        "    if os.getpid() != parent or everywhere:\n"
+        "        raise RuntimeError('search failed')\n"
+        "    return []\n"
         "en._enumerate_tables = failing\n"
-        "en.os.cpu_count = lambda: 2\n"
-        "pools = []\n"
-        "real = en.Pool\n"
-        "def recording(processes):\n"
-        "    pools.append(processes)\n"
-        "    return real(processes)\n"
-        "en.Pool = recording\n"
-        "for _ in range(100):\n"
+        "os.cpu_count = lambda: 2\n"
+        "forks = []\n"
+        "real = os.fork\n"
+        "def recording():\n"
+        "    pid = real()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = recording\n"
+        "for k in range(100):\n"
+        "    everywhere = k % 2\n"
         "    try:\n"
         "        en.survey(6, parallel=2)\n"
         "    except RuntimeError:\n"
         "        pass\n"
         "    else:\n"
         "        raise AssertionError('the error was lost')\n"
-        "assert pools == [2] * 100\n"
-        "assert not multiprocessing.active_children()\n"
-        "print('ok')\n"
+        "assert len(forks) == 100\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('ok')\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(ek.__file__).parents[1])}
-    proc = subprocess.Popen(
-        [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, env=env, start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=30)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("a failing worker hung the pool")
-    assert (proc.returncode, out) == (0, "ok\n"), err
+    rc, out, err = run_isolated("-c", code)
+    assert (rc, out) == (0, "ok\n"), err
 
 
-def test_duplicate_guard_with_a_pool(monkeypatch, pools):
+def test_a_dead_worker_raises_and_leaves_no_child():
+    # a child that dies without a result, here by os._exit(1) at size 7,
+    # which the child's share [7, 5, 3] holds, ends the call with an error
+    # that names its exit status, and is reaped
+    code = (
+        "import os\n"
+        "import effectkit.enumeration as en\n"
+        "real = en._enumerate_tables\n"
+        "def dying(n, row_2=(), leaf_filter=True):\n"
+        "    if n == 7:\n"
+        "        os._exit(1)\n"
+        "    return real(n, row_2, leaf_filter)\n"
+        "en._enumerate_tables = dying\n"
+        "os.cpu_count = lambda: 2\n"
+        "try:\n"
+        "    en.survey(8, parallel=2)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child')\n"
+    )
+    rc, out, err = run_isolated("-c", code)
+    assert rc == 0, err
+    assert out == (
+        "the worker of sizes [7, 5, 3] ended with exit code 1 and no result\n"
+        "no child\n"
+    )
+
+
+def test_exit_and_interrupt_in_a_child_surface_in_the_caller():
+    # SystemExit and KeyboardInterrupt raised in the child come back to
+    # the caller, and the child never runs the caller's code: a child
+    # that did would print a line of its own
+    code = (
+        "import os\n"
+        "import effectkit.enumeration as en\n"
+        "parent = os.getpid()\n"
+        "real = en._enumerate_tables\n"
+        "def failing(n, row_2=(), leaf_filter=True):\n"
+        "    if os.getpid() != parent:\n"
+        "        raise error\n"
+        "    return real(n, row_2, leaf_filter)\n"
+        "en._enumerate_tables = failing\n"
+        "os.cpu_count = lambda: 2\n"
+        "for error in (SystemExit(3), KeyboardInterrupt()):\n"
+        "    try:\n"
+        "        en.survey(6, parallel=2)\n"
+        "    except BaseException as exc:\n"
+        "        print(repr(exc), os.getpid() == parent)\n"
+        "print('done', os.getpid() == parent)\n"
+    )
+    rc, out, err = run_isolated("-c", code)
+    assert (rc, out) == (0, "SystemExit(3) True\nKeyboardInterrupt() True\ndone True\n"), err
+
+
+def test_forked_children_flush_no_inherited_buffer():
+    # stdout on a pipe is block-buffered: a line printed before the fork
+    # is still in the buffer each child inherits, and must come out once
+    argv = ["enumerate", "--max-size", "8"]
+    serial = run_isolated("-m", "effectkit", *argv)
+    assert serial[0] == 0, serial[2]
+    assert run_isolated("-m", "effectkit", *argv, "--parallel", "2") == serial
+    code = (
+        "import os, sys\n"
+        "from effectkit.cli import main\n"
+        "os.cpu_count = lambda: 2\n"
+        "print('before')\n"
+        f"sys.exit(main({[*argv, '--parallel', '2']!r}))\n"
+    )
+    rc, out, err = run_isolated("-c", code)
+    assert (rc, out) == (0, "before\n" + serial[1]), err
+
+
+def test_duplicate_guard_with_a_pool(monkeypatch, forks):
     # every task's keys collide, as in test_duplicate_guard_survives_optimize;
     # sizes 2 and 3 have one class each, size 4 three
     monkeypatch.setattr(en, "serialize", lambda t: b"same")
     with pytest.raises(AssertionError, match="same labeled table twice"):
         survey(6, parallel=2)
-    assert pools == [2]
-    assert not multiprocessing.active_children()
+    assert len(forks) == 1
+    assert no_child_left()
 
 
-def test_workers_are_capped_by_the_largest_size(monkeypatch):
-    requested, tasks = [], []
+def test_workers_are_capped_by_the_largest_size(monkeypatch, tmp_path, forks):
+    # every call of the worker logs its process and size, so the shares
+    # show: this process runs the first, a forked child each other one
+    log = tmp_path / "calls"
+    real = en._enumeration_worker
 
-    class RecordingPool:
-        """Records the worker count and the tasks asked for and runs the
-        tasks in this process, so no worker is started."""
+    def logged(n):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {n}\n")
+        return real(n)
 
-        def __init__(self, processes):
-            requested.append(processes)
+    def shares():
+        """This process's share and the children's, each in the order
+        run, and the calls forgotten."""
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, n = map(int, line.split())
+            by_pid.setdefault(pid, []).append(n)
+        log.unlink()
+        return by_pid.pop(os.getpid()), sorted(by_pid.values())
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, sizes, chunksize):
-            assert chunksize == 1
-            tasks.append(list(sizes))
-            return list(map(fn, sizes))
-
-    monkeypatch.setattr(en, "Pool", RecordingPool)
+    monkeypatch.setattr(en, "_enumeration_worker", logged)
     monkeypatch.setattr(os, "cpu_count", lambda: 1000)
-    # the tasks are the sizes, one each
+    # the tasks are the sizes, one each: one worker per size
     assert main(["enumerate", "--max-size", "5", "--parallel", "1000000"]) == 0
-    assert requested == [4]
-    assert tasks == [[2, 3, 4, 5]]
-    # size 2 alone is one task: no pool at all
+    assert len(forks) == 3
+    assert shares() == ([5], [[2], [3], [4]])
+    # size 2 alone is one task: no fork at all
     assert main(["enumerate", "--max-size", "2", "--parallel", "1000000"]) == 0
-    assert requested == [4]
-    # the CPUs bound the pool too, down to none
+    assert len(forks) == 3
+    assert shares() == ([2], [])
+    # the CPUs bound the workers too, down to one; the sizes are dealt
+    # largest first
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert survey(5, parallel=4) == survey(5)
-    assert requested == [4, 3]
+    rows = survey(5, parallel=4)
+    assert len(forks) == 5
+    assert shares() == ([5, 2], [[3], [4]])
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert survey(5, parallel=4) == survey(5)
-    assert requested == [4, 3]
-    assert not multiprocessing.active_children()
+    assert survey(5, parallel=4) == rows
+    assert len(forks) == 5
+    assert shares() == ([5, 4, 3, 2], [])
+    assert survey(5) == rows
+    assert shares() == ([5, 4, 3, 2], [])
+    assert no_child_left()
 
 
 def test_survey_rows():
@@ -790,9 +910,10 @@ def test_survey_rows():
     ]
 
 
-def test_each_class_is_validated_once_in_the_task_that_finds_it(monkeypatch, pools):
+def test_each_class_is_validated_once_in_the_task_that_finds_it(monkeypatch, forks):
     # the survey classifies the tables the search emits, not their keys
-    # parsed back; with a pool, the parent validates nothing
+    # parsed back; with a child, this process validates its own share,
+    # sizes 8, 6, 4 and 2, and nothing else
     assert not hasattr(en, "parse")
     calls = Counter()
     real = en.validate
@@ -806,8 +927,8 @@ def test_each_class_is_validated_once_in_the_task_that_finds_it(monkeypatch, poo
     assert calls == {row.size: row.total for row in rows}
     calls.clear()
     assert survey(8, parallel=2) == rows
-    assert pools == [2]
-    assert not calls
+    assert len(forks) == 1
+    assert calls == {row.size: row.total for row in rows if row.size % 2 == 0}
 
 
 def test_hypothesis_class_counts_match_partitions():
