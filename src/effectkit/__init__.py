@@ -23,7 +23,6 @@ from .corpus import (
 )
 from .enumeration import (
     SizeError,
-    SizeTooLarge,
     SurveyRow,
     enumerate_all,
     survey,
@@ -55,7 +54,6 @@ __all__ = [
     "LemmaReport",
     "ParseError",
     "SizeError",
-    "SizeTooLarge",
     "SpecError",
     "SurveyRow",
     "ValidationError",

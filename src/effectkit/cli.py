@@ -16,7 +16,7 @@ import sys
 
 from .core import ValidationError, validate
 from .corpus import ParseError, SpecError, from_spec, is_spec_string, parse, serialize
-from .enumeration import DEFAULT_MAX_SIZE, SizeError, survey, survey_tsv, write_enumeration
+from .enumeration import SizeError, survey, survey_tsv, write_enumeration
 from .lemmas import analyze, lemma_suite
 from .structure import DecomposeError, decompose
 
@@ -25,6 +25,7 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 ENV_MAX_SIZE = "EFFECTKIT_MAX_SIZE"
+DEFAULT_MAX_SIZE = 10
 
 
 def _load(source):
@@ -94,12 +95,12 @@ def cmd_enumerate(args):
         print(f"config error: {ENV_MAX_SIZE} must be an integer >= 2, got {raw!r}",
               file=sys.stderr)
         return EXIT_IO
+    if args.max_size > cap:
+        raise SizeError(f"size {args.max_size} above configured cap {cap}")
     if args.out:
-        rows = write_enumeration(
-            args.out, args.max_size, max_size=cap, parallel=args.parallel
-        )
+        rows = write_enumeration(args.out, args.max_size, parallel=args.parallel)
     else:
-        rows = survey(args.max_size, max_size=cap, parallel=args.parallel)
+        rows = survey(args.max_size, parallel=args.parallel)
     if args.fmt == "json":
         doc = [r._asdict() for r in rows]
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -159,8 +160,8 @@ def _parser():
     add("lemmas", "table file or constructor spec")
     en = add("enumerate", None, fmt_choices=("tsv", "json"), out_help="output directory")
     en.add_argument("--max-size", dest="max_size", type=int, default=6,
-                    help=f"largest size (default 6), capped by {ENV_MAX_SIZE} "
-                         f"(default {DEFAULT_MAX_SIZE})")
+                    help=f"largest size (default 6); the CLI, not the library, "
+                         f"caps it at {ENV_MAX_SIZE} (default {DEFAULT_MAX_SIZE})")
     en.add_argument("--parallel", dest="parallel", type=int, default=1,
                     help="worker processes, this one included: the sizes "
                          "are dealt among them, at most one worker per size "

@@ -7,10 +7,11 @@ matrices of element indices with -1 marking an undefined sum; index 0 is
 always the zero element, the unit index is explicit.
 
 validate() turns a table into a CheckedEffectAlgebra or raises a
-ValidationError whose witness verify_validation_witness() re-checks.  It
-reads each cell once, in one pass that checks the cell's type and range,
-compares it with its transpose, files it in the index by_sum (the defined
-cells grouped by their sum) and notes any breach of cancellation or
+ValidationError at the first violation, which the tests'
+first_violation_alt re-derives from the raw cells.  It reads each cell
+once, in one pass that checks the cell's type and range, compares it
+with its transpose, files it in the index by_sum (the defined cells
+grouped by their sum) and notes any breach of cancellation or
 positivity.  BadIndex is raised at once, then BadZero, NotCommutative,
 ZeroOneLawViolated, OrthoMissing, OrthoNotUnique and NotAssociative in
 that order; a breach is raised only after associativity passes, so an
@@ -334,61 +335,6 @@ def _scan_cells(t):
     return mismatch, tuple(map(tuple, by_sum)), breach
 
 
-def verify_validation_witness(table, err):
-    """Re-check a ValidationError against the raw table: True iff err.witness
-    is a genuine violation of the rule err.kind names.
-
-    Uses only the table's cells, never a derived order or orthosupplement,
-    and holds a witness to being a violation, not to being the first one.
-    A BadIndex witness (k,) names the size, the unit, the row count or a
-    row of the wrong length; (i, j) names an entry out of range.  A size,
-    unit or entry whose type is not int is out of range.  Every other kind
-    needs a well-shaped table and indices inside it.
-    """
-    t, kind, w = table, err.kind, err.witness
-    if kind == "BadIndex":
-        n, rows = t.size, t.sum
-        match w:
-            case _ if type(n) is not int:
-                return w == (n,)
-            case (int(i), int(j)) if 0 <= i < len(rows) and 0 <= j < len(rows[i]):
-                v = rows[i][j]
-                return type(v) is not int or not UNDEF <= v < n
-            case (k,):
-                return (
-                    (k == n and n < 2)
-                    or (k == t.one and not (type(k) is int and 0 < k < n))
-                    or (k == len(rows) != n)
-                    or (isinstance(k, int) and 0 <= k < len(rows) and len(rows[k]) != n)
-                )
-        return False
-    try:
-        _scan_cells(t)
-    except ValidationError:
-        return False
-    n, one, s = t.size, t.one, t.sum
-    if not all(isinstance(i, int) and 0 <= i < n for i in w):
-        return False
-    match kind, w:
-        case "BadZero", (x,):
-            return s[0][x] != x
-        case "NotCommutative", (i, j):
-            return s[i][j] != s[j][i]
-        case "ZeroOneLawViolated", (x,):
-            return x != 0 and s[x][one] != UNDEF
-        case "OrthoMissing", (x,):
-            return one not in s[x]
-        case "OrthoNotUnique", (x, c1, c2):
-            return c1 != c2 and s[x][c1] == one == s[x][c2]
-        case "NotAssociative", (a, b, c):
-            bc = s[b][c]
-            if bc == UNDEF or s[a][bc] == UNDEF:
-                return False
-            ab = s[a][b]
-            return ab == UNDEF or s[ab][c] != s[a][bc]
-    return False
-
-
 def _associative_at_atoms(s, by_sum, atoms):
     """True iff the table is associative, decided at the atoms by the lemma
     of the module docstring; s must pass validate's earlier checks.
@@ -452,7 +398,8 @@ def validate(table):
     zero-one law (ZeroOneLawViolated), existence and uniqueness of
     orthosupplements (OrthoMissing / OrthoNotUnique), and associativity in
     both directions including definedness transfer (NotAssociative).  The
-    first violation in lexicographic scan order is raised.  One pass over
+    first violation in lexicographic scan order is raised, the one the
+    tests' first_violation_alt re-derives by a naive scan.  One pass over
     the cells (_scan_cells), after the size, unit and row-count checks,
     raises BadIndex at the first bad cell, since no other kind outranks
     it, and notes the least transpose mismatch, by_sum and the first

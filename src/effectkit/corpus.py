@@ -15,10 +15,12 @@ from .core import UNDEF, CheckedEffectAlgebra, EffectAlgebraTable, validate
 # Largest algebra a table file or a spec may describe, checked before the
 # matrix is walked or anything is built.  validate decides associativity
 # from the atoms' triples; only on a non-associative table does it scan
-# every triple, cubic in the size, to name the witness (about 0.18 s for
-# the whole scan on chain:255).  On chain:255 the lemmas, analyze and
-# decompose commands each take about 0.12-0.17 s (median of 9 runs,
-# CPython 3.11, 2 vCPUs).
+# every triple, cubic in the size, to name the witness.  On chain:255,
+# timed in one process with time.perf_counter, each figure the range of
+# three medians of 9 runs (CPython 3.11, 2 vCPUs): cli.main with lemmas
+# 0.05-0.06 s, analyze 0.04-0.05 s and decompose 0.03-0.04 s, each
+# building the algebra from its spec; the whole triple scan of
+# _raise_first_not_associative 0.19-0.24 s.
 MAX_SIZE = 256
 
 

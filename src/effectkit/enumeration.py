@@ -70,7 +70,6 @@ from .corpus import chain, horizontal_sum, serialize
 from .lemmas import check_C2, check_C3, has_trivial_sharps, is_homogeneous
 from .structure import relabel
 
-DEFAULT_MAX_SIZE = 10
 UNASSIGNED = -2  # a cell the search has not decided yet
 
 SURVEY_COLUMNS = (
@@ -85,10 +84,6 @@ SURVEY_COLUMNS = (
 
 
 class SizeError(ValueError):
-    pass
-
-
-class SizeTooLarge(SizeError):
     pass
 
 
@@ -284,8 +279,6 @@ def _compare(S, n, rel, pos, append, probed):
             members = rel[p:end]
             if probed:
                 members = members.translate(None, probed)
-                if not members:
-                    return None  # only probed elements are left
             values = [S[row + x] for x in members]
             if UNASSIGNED in values:
                 return _probe(S, n, rel, stop, append, members, values)
@@ -591,13 +584,10 @@ def _enumeration_worker(n):
     return classes
 
 
-def _check_sizes(max_n, max_size):
+def _check_sizes(max_n):
     if max_n < 2:
         raise SizeError(
             f"size {max_n} below 2: effect algebras have at least two elements")
-    cap = DEFAULT_MAX_SIZE if max_size is None else max_size
-    if max_n > cap:
-        raise SizeTooLarge(f"size {max_n} above configured cap {cap}")
 
 
 def _fork_worker(share):
@@ -696,11 +686,12 @@ def _enumerate_sizes(sizes, parallel):
     return out
 
 
-def enumerate_all(n, max_size=None):
+def enumerate_all(n):
     """Canonical keys of every isomorphism class of size-n effect algebras,
     sorted.  Each key is the serialization of an emitted table, the least
-    relabeling of its class, as the tests' scan oracle pins."""
-    _check_sizes(n, max_size)
+    relabeling of its class, as the tests' scan oracle pins.  No size cap
+    applies here: the CLI owns it."""
+    _check_sizes(n)
     ((_, classes),) = _enumerate_sizes([n], 1)
     return [c[0] for c in classes]
 
@@ -732,15 +723,17 @@ def survey_tsv(rows):
     return "".join(line + "\n" for line in lines)
 
 
-def survey(max_n, max_size=None, parallel=1):
-    """One row per size 2..max_n aggregating the structure-theorem flags."""
-    _check_sizes(max_n, max_size)
+def survey(max_n, parallel=1):
+    """One row per size 2..max_n aggregating the structure-theorem flags;
+    no size cap applies here, the CLI owns it."""
+    _check_sizes(max_n)
     return [survey_row(*size) for size in _enumerate_sizes(range(2, max_n + 1), parallel)]
 
 
-def write_enumeration(out_dir, max_n, max_size=None, parallel=1):
-    """Persist canonical tables plus survey.tsv under out_dir; returns rows."""
-    _check_sizes(max_n, max_size)
+def write_enumeration(out_dir, max_n, parallel=1):
+    """Persist canonical tables plus survey.tsv under out_dir; returns rows.
+    No size cap applies here: the CLI owns it."""
+    _check_sizes(max_n)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for n, classes in _enumerate_sizes(range(2, max_n + 1), parallel):

@@ -24,7 +24,7 @@ class DecomposeError(Exception):
 
 
 class ChainDecomposition(
-    namedtuple("ChainDecomposition", "chain_lengths labeling branch_atoms")
+    namedtuple("ChainDecomposition", "chain_lengths labeling")
 ):
     """Multiset of chain lengths plus the element labeling x -> (branch, k),
     meaning x is the k-fold multiple of branch's atom.  0 and 1 are
@@ -92,6 +92,5 @@ def decompose(e):
     for b, (length, a, mults) in enumerate(branches):
         for k, x in enumerate(mults, start=1):
             labeling[x] = (b, k)
-    atoms = tuple(a for _, a, _ in branches)
-    return ChainDecomposition(chain_lengths=lengths, labeling=labeling, branch_atoms=atoms)
+    return ChainDecomposition(chain_lengths=lengths, labeling=labeling)
 

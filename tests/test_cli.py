@@ -24,6 +24,18 @@ from conftest import (
 NON_HOMOG = os.path.join(FIXTURES, "smallest_non_homogeneous_trivial_sharp.json")
 
 
+def run_effectkit(*args, **kwargs):
+    """Run `python -m effectkit` in a child that imports this effectkit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ek.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "effectkit", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        **kwargs,
+    )
+
+
 def write_table(tmp_path, name, data):
     p = tmp_path / name
     p.write_bytes(data)
@@ -240,15 +252,22 @@ def test_enumerate_env_cap(capsys, monkeypatch):
 
 
 def test_enumerate_cap_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # the CLI owns the cap: neither the search nor a fork starts before it
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated before checking the cap")
+
+    monkeypatch.setattr(ek.enumeration, "_enumerate_sizes", no_work)
+    monkeypatch.setattr(os, "fork", no_work)
     monkeypatch.setenv("EFFECTKIT_MAX_SIZE", "4")
     out = tmp_path / "results"
     out.mkdir()
-    assert main(["enumerate", "--max-size", "5", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("size error")
-    assert not list(out.glob("size_*"))
+    for parallel in ("1", "2"):
+        argv = ["enumerate", "--max-size", "5", "--parallel", parallel, "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "size error: size 5 above configured cap 4\n"
+        assert not list(out.glob("size_*"))
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1", "-3", "8.5"])
@@ -278,13 +297,7 @@ def _limit_address_space():
 def test_oversize_spec_exits_2_at_once(spec):
     # under a 1 GiB address-space limit and a timeout, so that a spec built
     # before the size check fails this test instead of exhausting memory
-    proc = subprocess.run(
-        [sys.executable, "-m", "effectkit", "validate", spec],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=_limit_address_space,
-    )
+    proc = run_effectkit("validate", spec, timeout=60, preexec_fn=_limit_address_space)
     assert proc.returncode == 2
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("parse error") and "limit" in err[0]
@@ -300,12 +313,7 @@ def test_oversize_table_file_exits_2_at_once(tmp_path):
     path = write_table(
         tmp_path, "big.json", json.dumps({"size": n, "one": n - 1, "sum": rows}).encode()
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "effectkit", "validate", path],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_effectkit("validate", path, timeout=60)
     assert proc.returncode == 2
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("parse error") and "limit" in err[0]
@@ -327,10 +335,6 @@ def test_non_associative_table_at_the_size_limit_names_the_first_witness(tmp_pat
 
 
 def test_console_entry_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "effectkit", "analyze", "chain:2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_effectkit("analyze", "chain:2")
     assert proc.returncode == 0
     assert "size: 3" in proc.stdout

@@ -19,7 +19,6 @@ from effectkit.cli import main
 from effectkit.core import UNDEF, EffectAlgebraTable, ValidationError, validate
 from effectkit.enumeration import (
     UNASSIGNED,
-    SizeTooLarge,
     _enumerate_tables,
     _resume_relabelings,
     _root_states,
@@ -643,10 +642,7 @@ def test_parallel_matches_serial(forks):
 
 
 def test_size_cap():
-    with pytest.raises(SizeTooLarge):
-        enumerate_all(11)
-    with pytest.raises(SizeTooLarge):
-        enumerate_all(5, max_size=4)
+    # the library refuses only sizes below 2; the cap above is the CLI's
     with pytest.raises(ValueError):
         enumerate_all(1)
 
@@ -654,18 +650,17 @@ def test_size_cap():
 def test_size_cap_is_checked_before_any_work(tmp_path, monkeypatch):
     # neither the search nor a fork starts before the sizes are checked
     def no_work(*args, **kwargs):
-        raise AssertionError("enumerated before checking the cap")
+        raise AssertionError("enumerated before checking the sizes")
 
     monkeypatch.setattr(en, "_enumerate_sizes", no_work)
     monkeypatch.setattr(os, "fork", no_work)
     out = tmp_path / "results"
-    for max_n, max_size, error in ((5, 4, SizeTooLarge), (1, None, ValueError),
-                                   (0, None, ValueError), (-3, None, ValueError)):
+    for max_n in (1, 0, -3):
         for run in (
-            lambda: survey(max_n, max_size=max_size, parallel=2),
-            lambda: write_enumeration(str(out), max_n, max_size=max_size, parallel=2),
+            lambda: survey(max_n, parallel=2),
+            lambda: write_enumeration(str(out), max_n, parallel=2),
         ):
-            with pytest.raises(error):
+            with pytest.raises(ValueError):
                 run()
     assert not out.exists()
 
